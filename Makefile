@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test check bench bench-smoke bench-kernel bench-pipeline bench-obs bench-serve bench-journal bench-ledger bench-tempering serve-smoke scrape-smoke crash-smoke fuzz-smoke tune-smoke report examples clean
+.PHONY: install test check bench bench-smoke bench-kernel kernel-report-parity bench-pipeline bench-obs bench-serve bench-journal bench-ledger bench-tempering serve-smoke scrape-smoke crash-smoke fuzz-smoke tune-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -29,6 +29,12 @@ bench-smoke:
 # full sweep with the recorded speedup table is `pytest benchmarks/bench_kernel.py`).
 bench-kernel:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_kernel.py --smoke
+
+# Kernel-report parity at scale (<30 s): api.run on one 16,384-finger
+# design, then its kernel-reported Eq.-3 breakdowns and omega must equal
+# the object-model oracle exactly; prints both timings.
+kernel-report-parity:
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/kernel_report_parity.py
 
 # End-to-end staged-pipeline smoke (<30 s): one assign+density+IR flow
 # iteration on both backends at 4096 fingers, failing below 2x (the full

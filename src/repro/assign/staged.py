@@ -38,7 +38,7 @@ def assign_quadrant(
     """
     from ..kernels import resolve_stage_backend
 
-    resolved = resolve_stage_backend(backend, quadrant.net_count)
+    resolved = resolve_stage_backend(backend)
     if resolved == "array":
         from .. import kernels
 

@@ -895,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("auto", "object", "array", "exact"),
         default="auto",
-        help="exchange cost backend for codesign jobs (auto picks by size)",
+        help="exchange cost backend for codesign jobs (auto = array kernel)",
     )
     prun.add_argument(
         "--profile",
@@ -1117,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("auto", "object", "array", "exact"),
         default="auto",
-        help="exchange cost backend (auto picks by design size)",
+        help="exchange cost backend (auto = array kernel)",
     )
     _add_verify_flag(p3)
     p3.set_defaults(func=_cmd_table3)

@@ -46,19 +46,21 @@ class FingerPadExchanger:
 
     ``backend`` selects the cost/move machinery the anneal runs on:
 
-    ``"object"``
-        :class:`CachedExchangeCost` over ``Assignment`` objects — the
-        reference implementation, supports custom ``ir_proxy`` injection.
     ``"array"``
         :class:`~repro.kernels.ArrayExchangeKernel` — flat NumPy state
-        with O(1) swap deltas, move-for-move identical to ``"object"``
-        under a shared seed (proven by ``tests/test_kernels.py``).
+        with O(1) swap deltas that also reports its own breakdowns and
+        omega; the production path.
+    ``"object"``
+        :class:`CachedExchangeCost` over ``Assignment`` objects — the
+        reference oracle, move-for-move identical to ``"array"`` under a
+        shared seed (proven by ``tests/test_kernels.py``); the only
+        backend that accepts a custom ``ir_proxy``.
     ``"exact"``
         :class:`ExchangeCost` re-derived from scratch every move; only
         useful for debugging the caches.
     ``"auto"`` (default)
-        ``"array"`` for large supply-routed designs, else ``"object"``
-        (see :func:`repro.kernels.resolve_backend`).
+        ``"array"`` at every size, ``"object"`` when a custom ``ir_proxy``
+        is injected (see :func:`repro.kernels.resolve_backend`).
     """
 
     def __init__(
@@ -126,7 +128,7 @@ class FingerPadExchanger:
         return self._run_object(assignments, seed)
 
     def _run_array(self, assignments: Dict, seed: Optional[int]) -> ExchangeResult:
-        """Anneal on the flat-array kernel; report through the object model."""
+        """Anneal on the flat-array kernel; it reports its own breakdowns."""
         import time
 
         from ..kernels import ArrayExchangeKernel
@@ -146,6 +148,9 @@ class FingerPadExchanger:
                 power_only=self.power_only,
                 wl_resync_interval=self.wl_resync_interval,
             )
+        with span("kernel.report", telemetry):  # still at the baseline
+            breakdown_before = kernel.breakdown()
+            omega_before = kernel.omega()
         checkpoint = self.checkpoint
         if checkpoint is not None:
             from .checkpoint import decode_arrays, encode_arrays
@@ -190,30 +195,19 @@ class FingerPadExchanger:
                 seconds=round(anneal_seconds, 6),
             )
             telemetry.metrics.counter("kernel.resyncs").inc(kernel.resync_count)
-        after = kernel.assignments()
-        for assignment in after.values():
-            check_legal(assignment)
-
-        # Reporting runs through the object model: identical float values,
-        # and it independently cross-checks the kernel's bookkeeping.
-        cost = CachedExchangeCost(
-            self.design,
-            before,
-            weights=self.weights,
-            net_type=self.net_type,
-            track_all_rows=self.track_all_rows,
-            split_networks=self.split_networks,
-        )
-        psi = self.design.stacking.tier_count
-        return ExchangeResult(
-            before=before,
-            after=after,
-            stats=stats,
-            cost_breakdown_before=cost.breakdown(before),
-            cost_breakdown_after=cost.breakdown(after),
-            omega_before=omega_of_design(before, psi),
-            omega_after=omega_of_design(after, psi),
-        )
+        with span("kernel.report", telemetry):
+            after = kernel.assignments()
+            for assignment in after.values():
+                check_legal(assignment)
+            return ExchangeResult(
+                before=before,
+                after=after,
+                stats=stats,
+                cost_breakdown_before=breakdown_before,
+                cost_breakdown_after=kernel.breakdown(),
+                omega_before=omega_before,
+                omega_after=kernel.omega(),
+            )
 
     def _checkpoint_run_key(self, kernel, seed: Optional[int]) -> str:
         """Identity of one anneal: seed + schedule + weights + baseline.

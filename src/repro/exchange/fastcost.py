@@ -65,7 +65,9 @@ class CachedExchangeCost:
         self._dirty.add(side)
 
     def _refresh(self, assignments: Dict) -> None:
-        for side in list(self._dirty):
+        # design order, not set order: it fixes the caches' summation
+        # order, so float totals do not depend on the string-hash seed
+        for side in [side for side in self.design.sides if side in self._dirty]:
             assignment = assignments[side]
             quadrant = self.design.quadrants[side]
             exact = self._exact

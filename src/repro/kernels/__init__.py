@@ -3,11 +3,11 @@
 High-throughput mirrors of the object-model pipeline stages: flat NumPy
 state plus vectorized inner loops, proven move-for-move (exchange),
 order-identical (assignment) or value-identical (density, IR solve) to
-the object backend.  ``resolve_backend`` implements the ``backend="auto"``
+the object backend, which survives as the tests' and the fuzzer's
+reference oracle.  ``resolve_backend`` implements the ``backend="auto"``
 policy used by :class:`~repro.exchange.FingerPadExchanger`;
 ``resolve_stage_backend`` is the per-stage variant shared by the staged
-assignment/density entry points (same ``ARRAY_BACKEND_THRESHOLD``, but
-keyed on a plain element count instead of a design).
+assignment/density entry points.
 
 Stage kernels:
 
@@ -21,111 +21,68 @@ Stage kernels:
 from __future__ import annotations
 
 from ..errors import ExchangeError
-
-try:  # numpy is a hard dependency of the repo, but stay importable without it
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMPY = False
-
-#: Designs with at least this many nets default to the array backend under
-#: ``backend="auto"``.  Below it the object backend's per-move cost is
-#: already sub-millisecond and its richer diagnostics win.
-ARRAY_BACKEND_THRESHOLD = 512
+from .assign import dfa_order, ifa_order
+from .density import design_max_density, max_density_of_order
+from .exchange import WL_RESYNC_INTERVAL, ArrayExchangeKernel
+from .irsolve import GridFactorization, factorize_grid
+from .state import SideArrays, WatchedRow, build_side_arrays, row_run_counts
 
 #: Accepted backend names, in documentation order.
 BACKENDS = ("auto", "object", "array", "exact")
 
 
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ExchangeError(
+            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+        )
+
+
 def resolve_backend(backend: str, design, ir_proxy=None) -> str:
     """Map a requested backend to a concrete one (``object|array|exact``).
 
-    ``auto`` picks ``array`` for large supply-routed designs (>=
-    ``ARRAY_BACKEND_THRESHOLD`` nets) when NumPy is importable and no
-    custom ``ir_proxy`` is injected; everything else stays on ``object``.
-    Explicitly requesting ``array`` with a custom ``ir_proxy`` is an
-    error — the kernel hard-codes the paper's compact gap-spread proxy.
+    ``auto`` picks ``array`` at every design size; only a custom
+    ``ir_proxy`` keeps it on ``object``.  Explicitly requesting ``array``
+    with a custom ``ir_proxy`` is an error — the kernel hard-codes the
+    paper's compact gap-spread proxy.
     """
-    if backend not in BACKENDS:
+    _check_backend(backend)
+    if backend == "array" and ir_proxy is not None:
         raise ExchangeError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+            "backend='array' does not support a custom ir_proxy; "
+            "use backend='object'"
         )
-    if backend == "array":
-        if not HAVE_NUMPY:
-            raise ExchangeError("backend='array' requires numpy")
-        if ir_proxy is not None:
-            raise ExchangeError(
-                "backend='array' does not support a custom ir_proxy; "
-                "use backend='object'"
-            )
-        return "array"
     if backend != "auto":
         return backend
-    if (
-        HAVE_NUMPY
-        and ir_proxy is None
-        and design.total_net_count >= ARRAY_BACKEND_THRESHOLD
-    ):
-        return "array"
-    return "object"
+    return "object" if ir_proxy is not None else "array"
 
 
-def resolve_stage_backend(backend: str, size: int) -> str:
+def resolve_stage_backend(backend: str) -> str:
     """Per-stage ``backend=`` policy for assignment and density estimation.
 
-    Returns ``"object"`` or ``"array"``.  ``auto`` picks ``array`` for
-    stages touching at least ``ARRAY_BACKEND_THRESHOLD`` elements (nets)
-    when NumPy is importable; ``"exact"`` — meaningful only to the
-    exchange cost machinery — degrades to ``"object"`` so one flow-level
-    ``backend=`` keyword can drive every stage.
+    Returns ``"object"`` or ``"array"``.  ``auto`` picks ``array``;
+    ``"exact"`` — meaningful only to the exchange cost
+    machinery — degrades to ``"object"`` so one flow-level ``backend=``
+    keyword can drive every stage.
     """
-    if backend not in BACKENDS:
-        raise ExchangeError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    if backend == "array":
-        if not HAVE_NUMPY:
-            raise ExchangeError("backend='array' requires numpy")
-        return "array"
-    if backend in ("object", "exact"):
-        return "object"
-    if HAVE_NUMPY and size >= ARRAY_BACKEND_THRESHOLD:
-        return "array"
-    return "object"
+    _check_backend(backend)
+    return "object" if backend in ("object", "exact") else "array"
 
 
-if HAVE_NUMPY:
-    from .assign import dfa_order, ifa_order
-    from .density import design_max_density, max_density_of_order
-    from .exchange import WL_RESYNC_INTERVAL, ArrayExchangeKernel
-    from .irsolve import GridFactorization, factorize_grid
-    from .state import SideArrays, WatchedRow, build_side_arrays, row_run_counts
-
-    __all__ = [
-        "ARRAY_BACKEND_THRESHOLD",
-        "BACKENDS",
-        "HAVE_NUMPY",
-        "resolve_backend",
-        "resolve_stage_backend",
-        "ArrayExchangeKernel",
-        "WL_RESYNC_INTERVAL",
-        "SideArrays",
-        "WatchedRow",
-        "build_side_arrays",
-        "row_run_counts",
-        "dfa_order",
-        "ifa_order",
-        "design_max_density",
-        "max_density_of_order",
-        "GridFactorization",
-        "factorize_grid",
-    ]
-else:  # pragma: no cover
-    __all__ = [
-        "ARRAY_BACKEND_THRESHOLD",
-        "BACKENDS",
-        "HAVE_NUMPY",
-        "resolve_backend",
-        "resolve_stage_backend",
-    ]
+__all__ = [
+    "BACKENDS",
+    "resolve_backend",
+    "resolve_stage_backend",
+    "ArrayExchangeKernel",
+    "WL_RESYNC_INTERVAL",
+    "SideArrays",
+    "WatchedRow",
+    "build_side_arrays",
+    "row_run_counts",
+    "dfa_order",
+    "ifa_order",
+    "design_max_density",
+    "max_density_of_order",
+    "GridFactorization",
+    "factorize_grid",
+]

@@ -26,9 +26,11 @@ Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
 call-for-call (same candidate ordering, same ``rng`` consumption, same
 legality rule), so a shared seed yields the *identical* accept/reject
 trace and final assignment as the object backend —
-``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit and
+``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit,
 cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
-re-derivation to 1e-9.
+re-derivation to 1e-9, and requires the kernel's own result report
+(:meth:`ArrayExchangeKernel.breakdown` / :meth:`ArrayExchangeKernel.omega`)
+to equal the object model's exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ..errors import ExchangeError
 from ..exchange.bonding import omega_of_design
 from ..exchange.cost import CostWeights
 from ..package import NetType
-from ..power import compact_ir_cost, supply_pad_fractions
+from ..power import compact_ir_cost
 from .state import SideArrays, build_side_arrays
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
@@ -97,19 +99,8 @@ class ArrayExchangeKernel:
         self.power_only = power_only
 
         # -- normalizers: the exact model's own code paths, so both
-        # backends divide by bit-identical constants.
-        if split_networks:
-            raw = sum(
-                compact_ir_cost(
-                    supply_pad_fractions(design, baseline_assignments, net_type=nt)
-                )
-                for nt in (NetType.POWER, NetType.GROUND)
-            )
-        else:
-            raw = compact_ir_cost(
-                supply_pad_fractions(design, baseline_assignments, net_type=net_type)
-            )
-        self._ir_initial = max(raw, 1e-12)
+        # backends divide by bit-identical constants (IR's is read from
+        # the flat state once it exists, below).
         self._omega_initial = max(omega_of_design(baseline_assignments, self.psi), 1)
         self._track_wl = self.weights.wirelength > 0
         self._wl_initial = 1.0
@@ -139,6 +130,7 @@ class ArrayExchangeKernel:
         self._ring = design.ring_slot_count()
         self._ring_sq = float(self._ring) * float(self._ring)
         self._class_count = 2 if split_networks else 1
+        self._ir_initial = max(self._raw_ir(), 1e-12)
 
         # candidate pool for propose(), mirroring MoveGenerator exactly:
         # (side, net) pairs in design order, supply-only for 2-D ICs
@@ -178,16 +170,7 @@ class ArrayExchangeKernel:
         self._nxt = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
         self._prv = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
         for cls in range(self._class_count):
-            positions = np.sort(
-                np.concatenate(
-                    [
-                        arrays.ring_offset
-                        + arrays.net_slot[arrays.supply_class == cls]
-                        + 1
-                        for arrays in self.sides
-                    ]
-                )
-            )
+            positions = np.sort(self._pad_positions(cls))
             count = len(positions)
             self._pad_count[cls] = count
             if count == 0:
@@ -323,6 +306,59 @@ class ArrayExchangeKernel:
         if self._track_wl:
             total += self.weights.wirelength * (self._wl_total / self._wl_initial)
         return total
+
+    def breakdown(self) -> Dict[str, float]:
+        """Per-term Eq.-3 values of the current state, as the oracle reports them.
+
+        Density and bonding read the integer state.  The IR and wirelength
+        terms re-run the object model's float code (``compact_ir_cost`` over
+        the supply-pad ring fractions, ``total_flyline_length_of_design``),
+        O(n) once per report, so every value is bit-identical to
+        ``CachedExchangeCost.breakdown``.  ``total`` is recomposed in
+        ``ExchangeCost.total``'s order rather than taken from :meth:`cost`,
+        whose integer ``sumsq / N^2`` form can differ by one ulp.
+        """
+        weights = self.weights
+        result = {
+            "ir": self._raw_ir() / self._ir_initial,
+            "density": float(self._max_delta),
+        }
+        total = weights.ir * result["ir"]
+        total += weights.density * result["density"]
+        if self.psi > 1:
+            result["bonding"] = self._omega_total / self._omega_initial
+            total += weights.bonding * result["bonding"]
+        if self._track_wl:
+            from ..routing.wirelength import total_flyline_length_of_design
+
+            length = total_flyline_length_of_design(self.assignments())
+            result["wirelength"] = length / self._wl_initial
+            total += weights.wirelength * result["wirelength"]
+        result["total"] = total
+        return result
+
+    def omega(self) -> int:
+        """Bonding omega of the current state (``omega_of_design``), exact."""
+        return self._omega_total if self.psi > 1 else 0
+
+    def _raw_ir(self) -> float:
+        """The compact IR proxy through the object model's float code, O(n)."""
+        return sum(
+            compact_ir_cost(((self._pad_positions(cls) - 0.5) / self._ring).tolist())
+            for cls in range(self._class_count)
+        )
+
+    def _pad_positions(self, cls: int) -> np.ndarray:
+        """1-based global ring positions of one supply class's pads.
+
+        ``(position - 0.5) / ring`` is ``design.ring_position`` bit for bit.
+        """
+        return np.concatenate(
+            [
+                arrays.ring_offset + arrays.net_slot[arrays.supply_class == cls] + 1
+                for arrays in self.sides
+            ]
+        )
 
     def snapshot(self) -> List[np.ndarray]:
         """Cheap copy of the current per-side slot->net arrays."""
@@ -554,11 +590,10 @@ class ArrayExchangeKernel:
 
     def assignments(self) -> Dict:
         """Materialize the current state as ``{side: Assignment}``."""
+        orders = self.orders()
         return {
-            arrays.side: Assignment(arrays.quadrant, order)
-            for (arrays, order) in (
-                (arrays, self.orders()[arrays.side]) for arrays in self.sides
-            )
+            arrays.side: Assignment(arrays.quadrant, orders[arrays.side])
+            for arrays in self.sides
         }
 
     def self_check(self, baseline_assignments: Dict):

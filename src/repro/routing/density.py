@@ -144,7 +144,7 @@ def max_density(
     """
     from ..kernels import resolve_stage_backend
 
-    if resolve_stage_backend(backend, assignment.slot_count) == "array":
+    if resolve_stage_backend(backend) == "array":
         if validate:
             check_legal(assignment)
         from ..kernels import max_density_of_order

@@ -217,11 +217,10 @@ def _finalize(
 
     Rebuilds the kernel at the shared DFA baseline, restores the best
     snapshot, applies the zero-temperature polish and reports through the
-    object model — the same discipline as
+    kernel's own ``breakdown()`` / ``omega()`` — the same discipline as
     :meth:`FingerPadExchanger._run_array`.
     """
     from ..assign import DFAAssigner, assign_design, check_legal
-    from ..exchange import CachedExchangeCost, omega_of_design
     from ..exchange.checkpoint import decode_arrays
     from ..flow.metrics import improvement_ratio, measure
     from ..kernels import ArrayExchangeKernel
@@ -233,6 +232,8 @@ def _finalize(
         DFAAssigner(), design, seed=int(base_params.get("assign_seed", 0))
     )
     kernel = ArrayExchangeKernel(design, baseline)
+    initial_cost = kernel.breakdown()["total"]
+    omega_before = kernel.omega()
     kernel.restore(decode_arrays(state["best"]))
     if polish_passes:
         kernel.polish(polish_passes)
@@ -243,11 +244,6 @@ def _finalize(
     grid_config = PowerGridConfig(size=int(grid))
     metrics_initial = measure(design, baseline, grid_config=grid_config)
     metrics_final = measure(design, after, grid_config=grid_config)
-    cost = CachedExchangeCost(design, baseline)
-    psi = design.stacking.tier_count
-    omega_before = omega_of_design(baseline, psi)
-    omega_after = omega_of_design(after, psi)
-    breakdown_after = cost.breakdown(after)
     proposed = int(state["proposed"])
     accepted = int(state["accepted"])
     return {
@@ -258,17 +254,17 @@ def _finalize(
         "ir_improvement": improvement_ratio(
             metrics_initial.max_ir_drop, metrics_final.max_ir_drop
         ),
-        "bonding_improvement": improvement_ratio(omega_before, omega_after)
+        "bonding_improvement": improvement_ratio(omega_before, kernel.omega())
         if omega_before > 0
         else 0.0,
         "max_ir_drop_initial": metrics_initial.max_ir_drop,
         "max_ir_drop_final": metrics_final.max_ir_drop,
-        "final_cost": breakdown_after["total"],
+        "final_cost": kernel.breakdown()["total"],
         "sa": {
             "proposed": proposed,
             "accepted": accepted,
             "acceptance_ratio": accepted / proposed if proposed else 0.0,
-            "initial_cost": cost.breakdown(baseline)["total"],
+            "initial_cost": initial_cost,
             "best_cost": float(state["best_cost"]),
         },
     }

@@ -27,10 +27,10 @@ from repro.exchange import (
     FingerPadExchanger,
     MoveGenerator,
     SAParams,
+    omega_of_design,
 )
 from repro.exchange.annealer import SimulatedAnnealer
 from repro.kernels import (
-    ARRAY_BACKEND_THRESHOLD,
     ArrayExchangeKernel,
     resolve_backend,
     row_run_counts,
@@ -147,11 +147,10 @@ class TestExchangerParity:
         assert {s: a.order for s, a in result_o.after.items()} == {
             s: a.order for s, a in result_a.after.items()
         }
+        assert result_o.omega_before == result_a.omega_before
         assert result_o.omega_after == result_a.omega_after
-        for key, value in result_o.cost_breakdown_after.items():
-            assert result_a.cost_breakdown_after[key] == pytest.approx(
-                value, rel=1e-9, abs=1e-12
-            )
+        assert result_o.cost_breakdown_before == result_a.cost_breakdown_before
+        assert result_o.cost_breakdown_after == result_a.cost_breakdown_after
 
     def test_full_default_schedule(self):
         """One run at the paper's full SA schedule, not just the fast one."""
@@ -250,6 +249,41 @@ class TestDeltaExactness:
         assert "exchange.total-drift" in report.codes("error")
 
 
+class TestKernelReport:
+    """``breakdown()`` and ``omega()`` equal the object oracle exactly (==)."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"split_networks": True},
+            {"net_type": None},
+            {"weights": CostWeights(wirelength=0.25)},
+            {"track_all_rows": False},
+        ],
+        ids=["default", "split", "all-supply", "wirelength", "outer-rows"],
+    )
+    @pytest.mark.parametrize("tiers", [1, 4])
+    @pytest.mark.parametrize("index", [1, 3, 5])
+    def test_breakdown_equals_oracle(self, index, tiers, config):
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(design, baseline, **config)
+        oracle = CachedExchangeCost(design, baseline, **config)
+        psi = design.stacking.tier_count
+        assert kernel.breakdown() == oracle.breakdown(baseline)
+        assert kernel.omega() == omega_of_design(baseline, psi)
+        rng = random.Random(10 * index + tiers)
+        for __ in range(300):
+            move = kernel.propose(rng)
+            if move is not None:
+                kernel.apply(move)
+        after = kernel.assignments()
+        assert kernel.orders() != {side: a.order for side, a in baseline.items()}
+        assert kernel.breakdown() == oracle.breakdown(after)
+        assert kernel.omega() == omega_of_design(after, psi)
+
+
 class TestStateStructures:
     def test_row_run_counts_matches_run_partition(self):
         design = circuit_design(2, 1)
@@ -284,14 +318,12 @@ class TestBackendResolution:
         assert resolve_backend("array", design) == "array"
         assert resolve_backend("exact", design) == "exact"
 
-    def test_auto_picks_by_size(self):
-        small = circuit_design(1, 1)
-        assert small.total_net_count < ARRAY_BACKEND_THRESHOLD
-        assert resolve_backend("auto", small) == "object"
-        big = build_design(
-            CircuitSpec(name="big", finger_count=ARRAY_BACKEND_THRESHOLD), seed=0
-        )
-        assert resolve_backend("auto", big) == "array"
+    @pytest.mark.parametrize("fingers", [16, 96, 448, 4096])
+    def test_auto_is_array_at_every_size(self, fingers):
+        design = build_design(CircuitSpec(name="d", finger_count=fingers), seed=0)
+        assert resolve_backend("auto", design) == "array"
+        proxy = lambda fractions: 1.0  # noqa: E731
+        assert resolve_backend("auto", design, ir_proxy=proxy) == "object"
 
     def test_custom_ir_proxy_stays_on_object(self):
         design = circuit_design(1, 1)

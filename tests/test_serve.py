@@ -482,9 +482,11 @@ class TestGracefulShutdown:
                 process.wait(timeout=10)
 
     def test_run_sigterm_exits_143(self, tmp_path):
+        # The array kernels finish the smoke jobs in ~0.1 s, before the
+        # signal lands; the object oracle keeps the run ~1 s long.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", "smoke",
-             "--jobs", "2", "--no-cache"],
+             "--jobs", "2", "--no-cache", "--backend", "object"],
             cwd=str(tmp_path), env=_env_with_src(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )

@@ -110,21 +110,19 @@ class TestDensityKernelParity:
 
 
 class TestStageBackendResolver:
-    def test_auto_threshold(self):
-        from repro.kernels import ARRAY_BACKEND_THRESHOLD
-
-        assert resolve_stage_backend("auto", ARRAY_BACKEND_THRESHOLD) == "array"
-        assert resolve_stage_backend("auto", ARRAY_BACKEND_THRESHOLD - 1) == "object"
+    def test_auto_is_array(self):
+        # no size threshold: the kernels are the production path everywhere
+        assert resolve_stage_backend("auto") == "array"
 
     def test_explicit_spellings(self):
-        assert resolve_stage_backend("object", 10**6) == "object"
-        assert resolve_stage_backend("array", 1) == "array"
+        assert resolve_stage_backend("object") == "object"
+        assert resolve_stage_backend("array") == "array"
         # "exact" only means something to the exchange cost machinery.
-        assert resolve_stage_backend("exact", 10**6) == "object"
+        assert resolve_stage_backend("exact") == "object"
 
     def test_unknown_rejected(self):
         with pytest.raises(ExchangeError):
-            resolve_stage_backend("gpu", 100)
+            resolve_stage_backend("gpu")
 
 
 class TestIRSolveKernel:
