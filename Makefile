@@ -24,9 +24,10 @@ bench-smoke:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro run smoke \
 		--jobs 2 --no-cache --trace results/smoke_trace.jsonl
 
-# Exchange-kernel throughput gate (<30 s): times the array backend against
-# the object model at 448/1792 fingers and fails below 2x at 1792 (the
-# full sweep with the recorded speedup table is `pytest benchmarks/bench_kernel.py`).
+# Exchange-kernel throughput gate (<30 s): times the array kernel against
+# the object-model reference (repro.verify.reference_exchange) at 448/1792
+# fingers and fails below 2x at 1792 (the full sweep with the recorded
+# speedup table is `pytest benchmarks/bench_kernel.py`).
 bench-kernel:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_kernel.py --smoke
 
@@ -37,9 +38,9 @@ kernel-report-parity:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/kernel_report_parity.py
 
 # End-to-end staged-pipeline smoke (<30 s): one assign+density+IR flow
-# iteration on both backends at 4096 fingers, failing below 2x (the full
-# 100k sweep writing results/BENCH_pipeline.json is
-# `pytest benchmarks/bench_pipeline.py`).
+# iteration on the kernels and on the object references at 4096 fingers,
+# failing below 2x (the full 100k sweep writing results/BENCH_pipeline.json
+# is `pytest benchmarks/bench_pipeline.py`).
 bench-pipeline:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_pipeline.py --smoke
 

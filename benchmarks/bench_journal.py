@@ -12,7 +12,7 @@ be cheap enough to leave on everywhere:
     with like rather than trusting a figure recorded on other hardware.
 ``checkpoint``
     Periodic atomic SA checkpoints (:class:`SACheckpointer`) on a
-    table3-style array-backend anneal.  At a realistic cadence (a
+    table3-style array-kernel anneal.  At a realistic cadence (a
     handful of saves per run, ~1 ms durable write each) the anneal must
     cost no more than 5% extra walltime.  Plain and checkpointed runs
     are interleaved and each takes its min-of-N, so a turbo/noise drift
@@ -150,7 +150,7 @@ def _anneal_times(repeats: int) -> Dict[str, float]:
 
     def run(checkpoint: Optional[SACheckpointer]) -> float:
         exchanger = FingerPadExchanger(
-            design, params=PARAMS, backend="array", polish_passes=0,
+            design, params=PARAMS, polish_passes=0,
             checkpoint=checkpoint,
         )
         start = time.perf_counter()

@@ -1,10 +1,12 @@
-"""Exchange-kernel throughput: array backend vs the object model.
+"""Exchange throughput: the array kernel vs the object-model reference.
 
 ``bench_scaling`` sweeps the *assignment* step; this bench sweeps the
 *exchange* step — the SA loop that dominates the co-design flow — far past
-the paper's largest circuit (448 fingers).  For each design size it times
-propose+apply+cost move batches on both backends and reports microseconds
-per move and the speedup.  The object backend re-derives a dirtied side's
+the paper's largest circuit (448 fingers).  For each design size it runs
+one fixed-temperature anneal (no polish) through
+:class:`~repro.exchange.FingerPadExchanger` and through
+:func:`repro.verify.reference_exchange`, and reports microseconds per
+proposed move and the speedup.  The reference re-derives a dirtied side's
 runs on every evaluation (O(rows x n) per move), so its per-move cost
 grows with the design while the kernel's stays flat; the speedup therefore
 *increases* with size.  The acceptance floor: >= 10x at 1792 fingers.
@@ -13,69 +15,61 @@ Also runnable without pytest as a CI smoke::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --smoke
 
-which sweeps only 448/1792, asserts array >= 2x object at 1792 and exits
-non-zero otherwise (< 30 s wall clock).
+which sweeps only 448/1792, asserts array >= 2x the reference at 1792 and
+exits non-zero otherwise (< 30 s wall clock).
 """
 
 from __future__ import annotations
 
 from repro.assign import assign_design
 import argparse
-import random
 import sys
 import time
 
 from repro.assign import DFAAssigner
 from repro.circuits import CircuitSpec, build_design
-from repro.exchange import CachedExchangeCost, MoveGenerator
-from repro.kernels import ArrayExchangeKernel
+from repro.exchange import FingerPadExchanger, SAParams
+from repro.verify import reference_exchange
 
 FULL_COUNTS = (448, 1792, 7168, 14336)
 SMOKE_COUNTS = (448, 1792)
 
 #: Move budget for the array kernel (O(1)/move: generous budgets are cheap).
 ARRAY_MOVES = 4000
-#: Per-size move budgets for the object backend, shrinking with size so the
-#: largest sweep points stay minutes-not-hours (its per-move cost is
+#: Per-size move budgets for the object-model reference, shrinking with size
+#: so the largest sweep points stay minutes-not-hours (its per-move cost is
 #: O(rows x n)); microseconds/move stays comparable regardless of budget.
 OBJECT_MOVES = {448: 1500, 1792: 400, 7168: 60, 14336: 20}
 
 
-def _timed_walk(propose, apply, cost, moves: int, seed: int = 0) -> float:
-    """Run a propose/apply/cost walk, returning microseconds per move."""
-    rng = random.Random(seed)
-    applied = 0
+def _one_step(moves: int) -> SAParams:
+    """A single-temperature schedule of exactly *moves* proposals."""
+    return SAParams(
+        initial_temp=0.03, final_temp=0.029, cooling=0.95, moves_per_temp=moves
+    )
+
+
+def _us_per_move(run) -> float:
+    """Microseconds per proposed move of one timed exchange call."""
     start = time.perf_counter()
-    while applied < moves:
-        move = propose(rng)
-        if move is None:
-            continue
-        apply(move)
-        cost()
-        applied += 1
-    return (time.perf_counter() - start) / moves * 1e6
+    result = run()
+    return (time.perf_counter() - start) / result.stats.proposed * 1e6
 
 
 def measure_point(count: int, object_moves: int) -> dict:
-    """Both backends on one design size; returns the comparison row."""
+    """Kernel and reference on one design size; returns the comparison row."""
     design = build_design(
         CircuitSpec(name=f"kernel{count}", finger_count=count), seed=0
     )
     baseline = assign_design(DFAAssigner(), design)
-
-    kernel = ArrayExchangeKernel(design, baseline)
-    array_us = _timed_walk(kernel.propose, kernel.apply, kernel.cost, ARRAY_MOVES)
-
-    working = {side: a.copy() for side, a in baseline.items()}
-    cost = CachedExchangeCost(design, baseline)
-    generator = MoveGenerator(design, working)
-
-    def object_apply(move) -> None:
-        generator.apply(move)
-        cost.mark_dirty(move.side)
-
-    object_us = _timed_walk(
-        generator.propose, object_apply, lambda: cost.total(working), object_moves
+    exchanger = FingerPadExchanger(
+        design, params=_one_step(ARRAY_MOVES), polish_passes=0
+    )
+    array_us = _us_per_move(lambda: exchanger.run(baseline, seed=0))
+    object_us = _us_per_move(
+        lambda: reference_exchange(
+            design, baseline, params=_one_step(object_moves), polish_passes=0, seed=0
+        )
     )
     return {
         "count": count,
@@ -142,7 +136,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="448/1792 only; assert array >= 2x object at 1792 (CI gate)",
+        help="448/1792 only; assert array >= 2x the reference at 1792 (CI gate)",
     )
     args = parser.parse_args(argv)
     counts = SMOKE_COUNTS if args.smoke else FULL_COUNTS
@@ -152,7 +146,7 @@ def main(argv=None) -> int:
     if args.smoke:
         speedup = next(r["speedup"] for r in rows if r["count"] == 1792)
         if speedup < 2.0:
-            print(f"FAIL: array backend only {speedup:.1f}x at 1792 fingers")
+            print(f"FAIL: array kernel only {speedup:.1f}x at 1792 fingers")
             return 1
         print(f"smoke OK: {speedup:.1f}x at 1792 fingers")
     return 0

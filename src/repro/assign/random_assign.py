@@ -11,7 +11,6 @@ nets still waiting in ``r`` samples uniformly over all legal interleavings.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional
 
 from ..package import Quadrant
@@ -22,29 +21,12 @@ class RandomAssigner(Assigner):
     """Uniformly random monotonic-legal assignment.
 
     Seeds are per *call*, like every other assigner: pass them to
-    :meth:`assign` / :meth:`~repro.assign.Assigner.assign_design`.  The
-    constructor-level seed is a deprecated legacy spelling — it made the
-    same ``RandomAssigner`` produce different sequences than an
-    identically-seeded ``IFAAssigner``/``DFAAssigner`` pipeline and is on
-    its way out.
+    :meth:`assign` / :func:`~repro.assign.assign_design`.
     """
 
     name = "Random"
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        if seed is not None:
-            warnings.warn(
-                "RandomAssigner(seed=...) is deprecated; pass the seed per "
-                "call instead: assign(quadrant, seed=...) or "
-                "assign_design(design, seed=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._default_seed = seed
-
     def assign(self, quadrant: Quadrant, seed: Optional[int] = None) -> Assignment:
-        if seed is None:
-            seed = self._default_seed
         rng = random.Random(seed)
         queues = [
             list(quadrant.row_nets(row))

@@ -1,14 +1,12 @@
-"""Design-level staged assignment with per-stage backend dispatch.
+"""Design-level staged assignment.
 
-This is the replacement spelling for the deprecated
-``Assigner.assign_design`` *method*: a module function that owns the
-design walk and the per-quadrant seed derivation, and — unlike the ABC
-method — can route the deterministic assigners (IFA, DFA) onto the array
-kernels of :mod:`repro.kernels.assign` when the quadrant is large enough
-to pay for it.  Seed semantics are unchanged: quadrant ``index`` gets
-``seed + index`` (or ``None`` when no seed is given), so results are
-byte-identical to the legacy method on every backend (the kernels are
-order-identical by construction; see the ``assign_parity`` fuzz oracle).
+A module function owns the design walk and the per-quadrant seed
+derivation, and routes the stock deterministic assigners (IFA, DFA) onto
+the array kernels of :mod:`repro.kernels.assign`.  Quadrant ``index``
+gets ``seed + index`` (or ``None`` when no seed is given).  The kernels
+are order-identical to ``IFAAssigner.assign`` / ``DFAAssigner.assign`` by
+construction, which stay as the reference (see the ``assign_parity`` fuzz
+oracle).
 """
 
 from __future__ import annotations
@@ -27,28 +25,21 @@ def assign_quadrant(
     assigner: Assigner,
     quadrant: Quadrant,
     seed: Optional[int] = None,
-    backend: str = "auto",
 ) -> Assignment:
-    """Assign one quadrant, honoring the staged ``backend=`` convention.
+    """Assign one quadrant: stock IFA/DFA on the array kernels.
 
-    Only the stock deterministic assigners have array twins; subclasses
-    and randomized strategies always run their own ``assign`` (their
-    behavior is the specification, so there is nothing to vectorize
-    against).
+    Subclasses and randomized strategies always run their own ``assign``
+    (their behavior is the specification, so there is nothing to
+    vectorize against).
     """
-    from ..kernels import resolve_stage_backend
+    from .. import kernels
 
-    resolved = resolve_stage_backend(backend)
-    if resolved == "array":
-        from .. import kernels
-
-        if type(assigner) is IFAAssigner:
-            return Assignment(quadrant, kernels.ifa_order(quadrant))
-        if type(assigner) is DFAAssigner:
-            return Assignment(
-                quadrant,
-                kernels.dfa_order(quadrant, cut_line_n=assigner.cut_line_n),
-            )
+    if type(assigner) is IFAAssigner:
+        return Assignment(quadrant, kernels.ifa_order(quadrant))
+    if type(assigner) is DFAAssigner:
+        return Assignment(
+            quadrant, kernels.dfa_order(quadrant, cut_line_n=assigner.cut_line_n)
+        )
     return assigner.assign(quadrant, seed=seed)
 
 
@@ -56,7 +47,6 @@ def assign_design(
     assigner: Assigner,
     design,
     seed: Optional[int] = None,
-    backend: str = "auto",
 ) -> Dict:
     """Assign every quadrant of *design*; returns ``{side: Assignment}``.
 
@@ -66,7 +56,5 @@ def assign_design(
     results = {}
     for index, (side, quadrant) in enumerate(design):
         sub_seed = None if seed is None else seed + index
-        results[side] = assign_quadrant(
-            assigner, quadrant, seed=sub_seed, backend=backend
-        )
+        results[side] = assign_quadrant(assigner, quadrant, seed=sub_seed)
     return results

@@ -44,8 +44,9 @@ def _executed_steps(initial_temp: float, final_temp: float, cooling: float) -> i
     return steps
 
 #: Minimum cost improvement that counts as a new best (and triggers a
-#: snapshot).  Keeps best-state selection invariant to the ~1e-16 rounding
-#: differences between cost backends; genuine Eq.-3 deltas are >= ~1e-6.
+#: snapshot), and minimum increase that counts as an uphill acceptance.
+#: Keeps both invariant to the ~1e-16 rounding differences between cost
+#: implementations; genuine Eq.-3 deltas are >= ~1e-6.
 BEST_IMPROVEMENT_EPS = 1e-12
 
 
@@ -274,19 +275,21 @@ class SimulatedAnnealer:
                         # Draw the Metropolis uniform unconditionally so the rng
                         # stream advances identically for every finite applied move.
                         # With the short-circuit draw, a zero-delta move computed as
-                        # 0.0 by one cost backend and +-1e-16 by another would
-                        # consume different amounts of randomness and desync the
-                        # backends' move sequences from that point on.
+                        # 0.0 by one cost implementation and +-1e-16 by another
+                        # would consume different amounts of randomness and desync
+                        # their move sequences from that point on.
                         uniform = rng.random()
                         if delta <= 0 or uniform < math.exp(-delta / temperature):
                             current_cost = new_cost
                             stats.accepted += 1
                             step_accepted += 1
-                            if delta > 0:
+                            # Uphill means a material cost increase: a zero-delta
+                            # move that one cost path reads as +1e-16 is not one.
+                            if delta > BEST_IMPROVEMENT_EPS:
                                 stats.accepted_uphill += 1
                             # Require a material improvement before re-snapshotting:
-                            # cost backends agree only to float rounding (~1e-16), so
-                            # a strict `<` would let one backend re-snapshot at an
+                            # cost paths agree only to float rounding (~1e-16), so
+                            # a strict `<` would let one path re-snapshot at an
                             # equal-cost revisit the other skips, and the restored
                             # "best" states would diverge.  Real Eq.-3 improvements
                             # are orders of magnitude above this tolerance (it is the

@@ -100,7 +100,6 @@ class CoDesignFlow:
         grid_config: Optional[PowerGridConfig] = None,
         net_type: Optional[NetType] = NetType.POWER,
         verify: str = "off",
-        backend: str = "auto",
     ) -> None:
         from ..verify import normalize
 
@@ -110,7 +109,6 @@ class CoDesignFlow:
         self.grid_config = grid_config
         self.net_type = net_type
         self.verify = normalize(verify)
-        self.backend = backend
 
     def run(
         self, design: PackageDesign, seed: Optional[int] = 0
@@ -130,9 +128,7 @@ class CoDesignFlow:
                 check_design(design).raise_if_errors()
 
             with span("flow.assign", telemetry):
-                initial = assign_design(
-                    self.assigner, design, seed=seed, backend=self.backend
-                )
+                initial = assign_design(self.assigner, design, seed=seed)
             if verifying:
                 initial = self._verified_assignments(
                     design, initial, stage="assignment", seed=seed
@@ -143,9 +139,8 @@ class CoDesignFlow:
                 weights=self.weights,
                 params=self.sa_params,
                 net_type=self.net_type,
-                backend=self.backend,
             )
-            with span("flow.exchange", telemetry, backend=exchanger.backend):
+            with span("flow.exchange", telemetry):
                 exchange = exchanger.run(initial, seed=seed)
             if verifying:
                 self._verified_assignments(
@@ -162,14 +157,12 @@ class CoDesignFlow:
                     exchange.before,
                     grid_config=self.grid_config,
                     net_type=self.net_type,
-                    backend=self.backend,
                 )
                 metrics_final = measure(
                     design,
                     exchange.after,
                     grid_config=self.grid_config,
                     net_type=self.net_type,
-                    backend=self.backend,
                 )
             if verifying:
                 from ..verify import check_power_values

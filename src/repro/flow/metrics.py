@@ -35,16 +35,13 @@ def measure(
     grid_config: Optional[PowerGridConfig] = None,
     with_ir: bool = True,
     net_type: Optional[NetType] = NetType.POWER,
-    backend: str = "auto",
 ) -> DesignMetrics:
     """Measure one assignment of a design.
 
     ``with_ir=False`` skips the (comparatively expensive) power-grid solve —
-    Table 2 only needs density and wirelength.  ``backend`` is the staged
-    convention and currently steers the density estimator; the IR solve
-    always takes the factor-once path.
+    Table 2 only needs density and wirelength.
     """
-    density = max_density_of_design(assignments, backend=backend)
+    density = max_density_of_design(assignments)
     wirelength = total_flyline_length_of_design(assignments)
     ir_drop = None
     if with_ir:

@@ -4,7 +4,7 @@ Each oracle is ``oracle(case) -> List[str]`` — an empty list means the
 case passed; each string is one observed divergence.  A case the oracle
 cannot evaluate *for a reason the library documents* (a typed
 :class:`~repro.errors.ReproError` raised identically on every code path)
-raises :class:`SkippedCase` instead; inconsistent errors — one backend
+raises :class:`SkippedCase` instead; inconsistent errors — one path
 raising where another succeeds — are divergences, never skips.
 
 Oracles
@@ -23,9 +23,11 @@ Oracles
     solver vs the reference assemble-and-solve path (within 1e-9, for
     both uniform and hotspot injection vectors).
 ``backends``
-    Object vs array vs exact exchange backends under a shared seed must
-    produce the identical accept/reject trace, final orders, and Eq.-3
-    cost breakdowns — each additionally cross-checked against
+    The array exchange kernel (:class:`~repro.exchange.FingerPadExchanger`)
+    vs the object-model reference (:func:`repro.verify.reference_exchange`
+    with the cached and the from-scratch Eq.-3 cost) under a shared seed
+    must produce the identical accept/reject counts, final orders, and
+    Eq.-3 cost breakdowns — each additionally cross-checked against
     ``verify.check_exchange_total``'s from-scratch re-derivation.
 ``engine``
     Serial vs ``jobs=2`` and cached vs fresh :class:`JobEngine` runs must
@@ -33,7 +35,7 @@ Oracles
     ``base_seed`` sharing one cache (the seed=None poisoning this oracle
     caught; see ``tests/data/fuzz_corpus/``).
 ``checkpoint``
-    Crash-and-resume determinism: an array-backend anneal killed right
+    Crash-and-resume determinism: an exchange anneal killed right
     after a checkpoint save (:class:`~repro.exchange.SimulatedCrash`) and
     resumed in a fresh process-equivalent must replay the *exact*
     continuation of the uninterrupted run — identical accept/reject
@@ -50,8 +52,8 @@ from ..assign import assign_design
 from ..errors import ReproError
 from .gen import FuzzCase
 
-#: Relative tolerance for cross-backend float comparisons; matches
-#: ``verify.FASTCOST_RTOL`` (the backends are algebraically identical).
+#: Relative tolerance for kernel-vs-reference float comparisons; matches
+#: ``verify.FASTCOST_RTOL`` (the paths are algebraically identical).
 BACKEND_RTOL = 1e-9
 
 
@@ -149,7 +151,7 @@ def oracle_assign_parity(case: FuzzCase) -> List[str]:
 
     Also an error-parity check: a quadrant the object assigner refuses
     (typed ``AssignmentError``) must be refused by the kernel too, and
-    vice versa — one backend succeeding where the other raises is a
+    vice versa — one path succeeding where the other raises is a
     divergence, not a skip.
     """
     from ..assign import DFAAssigner, IFAAssigner
@@ -198,7 +200,7 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
     """Object density walk vs the array accumulation: identical counts."""
     from ..assign import DFAAssigner, RandomAssigner
     from ..kernels import max_density_of_order
-    from ..routing import max_density
+    from ..routing import density_map
 
     design = _build_design(case)
     problems: List[str] = []
@@ -207,13 +209,11 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
         ("DFA", DFAAssigner()),
     ):
         try:
-            assignments = assign_design(
-                assigner, design, seed=case.run_seed, backend="object"
-            )
+            assignments = assign_design(assigner, design, seed=case.run_seed)
         except ReproError as exc:
             raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
         for side, assignment in assignments.items():
-            expected = max_density(assignment, backend="object")
+            expected = density_map(assignment).max_density
             got = max_density_of_order(assignment.quadrant, assignment.order)
             if got != expected:
                 problems.append(
@@ -272,25 +272,33 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
     return problems
 
 
-# -- exchange backends -----------------------------------------------------
-
-_BACKENDS = ("object", "array", "exact")
+# -- exchange kernel vs the object-model reference -------------------------
 
 
-def _run_backend(case: FuzzCase, design, baseline, backend: str):
-    from ..exchange import FingerPadExchanger
+def _run_exchange(case: FuzzCase, design, baseline, path: str):
+    """One exchange of *case*: the kernel, or the reference on a cost class."""
+    from ..exchange import CachedExchangeCost, ExchangeCost, FingerPadExchanger
+    from ..verify import reference_exchange
 
-    exchanger = FingerPadExchanger(
-        design,
+    options = dict(
         weights=case.cost_weights(),
         params=case.sa_params(),
         track_all_rows=case.track_all_rows,
         split_networks=case.split_networks,
         polish_passes=2,
-        backend=backend,
-        wl_resync_interval=case.wl_resync_interval,
     )
-    return exchanger.run(baseline, seed=case.run_seed)
+    if path == "array":
+        return FingerPadExchanger(
+            design, wl_resync_interval=case.wl_resync_interval, **options
+        ).run(baseline, seed=case.run_seed)
+    cost_class = CachedExchangeCost if path == "object" else ExchangeCost
+    return reference_exchange(
+        design, baseline, seed=case.run_seed, cost_class=cost_class, **options
+    )
+
+
+#: The compared paths: ``object`` (reference, cached cost) is the baseline.
+_PATHS = ("object", "array", "exact")
 
 
 def oracle_backends(case: FuzzCase) -> List[str]:
@@ -305,21 +313,21 @@ def oracle_backends(case: FuzzCase) -> List[str]:
 
     results: Dict[str, object] = {}
     errors: Dict[str, str] = {}
-    for backend in _BACKENDS:
+    for path in _PATHS:
         try:
-            results[backend] = _run_backend(case, design, baseline, backend)
+            results[path] = _run_exchange(case, design, baseline, path)
         except ReproError as exc:
-            errors[backend] = type(exc).__name__
+            errors[path] = type(exc).__name__
     if errors and results:
         return [
-            f"backends disagree on feasibility: "
+            f"exchange paths disagree on feasibility: "
             f"{sorted(results)} succeeded, {errors} raised"
         ]
     if errors:
         kinds = set(errors.values())
         if len(kinds) > 1:
-            return [f"backends raised different error types: {errors}"]
-        raise SkippedCase(f"all backends raised {kinds.pop()}")
+            return [f"exchange paths raised different error types: {errors}"]
+        raise SkippedCase(f"all exchange paths raised {kinds.pop()}")
 
     problems: List[str] = []
     reference = results["object"]
@@ -328,40 +336,40 @@ def oracle_backends(case: FuzzCase) -> List[str]:
     # tier).  Exact-power final temps from the generator land on the float
     # boundary where the old log-based formula drifted by one.
     expected_steps = case.sa_params().temperature_steps()
-    for backend, result in sorted(results.items()):
+    for path, result in sorted(results.items()):
         executed = len(result.stats.cost_trace)
         if executed != expected_steps:
             problems.append(
-                f"{backend}: schedule accounting: reported "
+                f"{path}: schedule accounting: reported "
                 f"{expected_steps} temperature steps, executed {executed}"
             )
-    for backend in ("array", "exact"):
-        other = results[backend]
+    for path in ("array", "exact"):
+        other = results[path]
         for fld in ("proposed", "accepted", "accepted_uphill"):
             if getattr(other.stats, fld) != getattr(reference.stats, fld):
                 problems.append(
-                    f"{backend} vs object: stats.{fld} "
+                    f"{path} vs object: stats.{fld} "
                     f"{getattr(other.stats, fld)} != "
                     f"{getattr(reference.stats, fld)} (trace divergence)"
                 )
         for side in reference.after:
             if other.after[side].order != reference.after[side].order:
                 problems.append(
-                    f"{backend} vs object: final order differs on "
+                    f"{path} vs object: final order differs on "
                     f"{side.value}"
                 )
         for term, value in reference.cost_breakdown_after.items():
             if not _close(other.cost_breakdown_after.get(term, math.nan), value):
                 problems.append(
-                    f"{backend} vs object: cost term {term!r} "
+                    f"{path} vs object: cost term {term!r} "
                     f"{other.cost_breakdown_after.get(term)!r} != {value!r}"
                 )
         if other.omega_after != reference.omega_after:
             problems.append(
-                f"{backend} vs object: omega {other.omega_after} != "
+                f"{path} vs object: omega {other.omega_after} != "
                 f"{reference.omega_after}"
             )
-    for backend, result in results.items():
+    for path, result in results.items():
         report = check_exchange_total(
             design,
             result.before,
@@ -373,7 +381,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
         )
         if not report.ok:
             problems.extend(
-                f"{backend}: {diagnostic}" for diagnostic in report.errors[:3]
+                f"{path}: {diagnostic}" for diagnostic in report.errors[:3]
             )
     return problems
 
@@ -384,7 +392,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
 def oracle_checkpoint(case: FuzzCase) -> List[str]:
     """Crash/resume vs uninterrupted: the anneal must be bit-identical.
 
-    Three runs of the array backend under one seed: a clean reference, a
+    Three runs of the exchanger under one seed: a clean reference, a
     checkpointed run killed by :class:`SimulatedCrash` right after its
     first save lands, and a resume from that checkpoint.  The resumed run
     must finish with the reference's exact stats, cost trace, final
@@ -412,7 +420,6 @@ def oracle_checkpoint(case: FuzzCase) -> List[str]:
             track_all_rows=case.track_all_rows,
             split_networks=case.split_networks,
             polish_passes=2,
-            backend="array",
             wl_resync_interval=case.wl_resync_interval,
             checkpoint=checkpoint,
         )

@@ -88,7 +88,7 @@ def max_density_of_order(quadrant: Quadrant, order) -> int:
 
 
 def design_max_density(assignments: Dict) -> int:
-    """Maximum density across every quadrant of a design (array backend)."""
+    """Maximum density across every quadrant of a design."""
     return max(
         max_density_of_order(assignment.quadrant, assignment.order)
         for assignment in assignments.values()

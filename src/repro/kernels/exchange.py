@@ -12,6 +12,11 @@ Eq.-3 ingredient incrementally:
   the proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
   occupied positions per supply network turns a pad move into a four-gap
   integer update — no floating-point accumulation, hence no drift, ever.
+  With a ``demand`` (the non-uniform-power proxy of
+  :func:`~repro.power.weighted_compact_cost`) each gap is weighted by the
+  demand at its midpoint and the same four-gap update runs on one float
+  sum per network class, every gap term computed with the oracle's float
+  expressions.
 * **density term (Eq. 2)** — an adjacent swap crosses at most one via of
   one watched line, moving one wire between two neighbouring runs.  A flat
   run-delta array plus a histogram over delta values maintains
@@ -25,7 +30,8 @@ Eq.-3 ingredient incrementally:
 Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
 call-for-call (same candidate ordering, same ``rng`` consumption, same
 legality rule), so a shared seed yields the *identical* accept/reject
-trace and final assignment as the object backend —
+trace and final assignment as the object-model reference
+(:func:`repro.verify.reference_exchange`) —
 ``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit,
 cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
 re-derivation to 1e-9, and requires the kernel's own result report
@@ -42,11 +48,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..assign import Assignment
-from ..errors import ExchangeError
+from ..errors import ExchangeError, NonFiniteCostError
 from ..exchange.bonding import omega_of_design
 from ..exchange.cost import CostWeights
 from ..package import NetType
-from ..power import compact_ir_cost
+from ..power import compact_ir_cost, weighted_compact_cost
 from .state import SideArrays, build_side_arrays
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
@@ -60,7 +66,9 @@ class ArrayExchangeKernel:
     Construct from a design and its baseline (post-assignment)
     ``{side: Assignment}``; the kernel starts *at* the baseline.  Feed
     ``propose`` / ``apply`` / ``undo`` / ``cost`` / ``snapshot`` straight
-    into ``SimulatedAnnealer.optimize``.
+    into ``SimulatedAnnealer.optimize``.  ``demand`` (a callable from ring
+    fraction to weight, as :func:`~repro.power.weighted_compact_cost`
+    takes it) swaps the uniform gap proxy for the demand-weighted one.
     """
 
     def __init__(
@@ -69,19 +77,15 @@ class ArrayExchangeKernel:
         baseline_assignments: Dict,
         weights: Optional[CostWeights] = None,
         net_type: Optional[NetType] = NetType.POWER,
-        ir_proxy=None,
+        demand=None,
         track_all_rows: bool = True,
         split_networks: bool = False,
         power_only: Optional[bool] = None,
         max_attempts: int = 16,
         wl_resync_interval: Optional[int] = None,
     ) -> None:
-        if ir_proxy is not None:
-            raise ExchangeError(
-                "the array kernel implements the paper's compact gap-spread "
-                "proxy only; use backend='object' to inject a custom ir_proxy"
-            )
         self.design = design
+        self.demand = demand
         self.weights = weights or CostWeights()
         self.net_type = net_type
         self.split_networks = split_networks
@@ -98,8 +102,8 @@ class ArrayExchangeKernel:
         power_only = (self.psi == 1) if power_only is None else power_only
         self.power_only = power_only
 
-        # -- normalizers: the exact model's own code paths, so both
-        # backends divide by bit-identical constants (IR's is read from
+        # -- normalizers: the exact model's own code paths, so kernel and
+        # oracle divide by bit-identical constants (IR's is read from
         # the flat state once it exists, below).
         self._omega_initial = max(omega_of_design(baseline_assignments, self.psi), 1)
         self._track_wl = self.weights.wirelength > 0
@@ -163,10 +167,18 @@ class ArrayExchangeKernel:
 
     def _rebuild_ir(self) -> None:
         ring = self._ring
-        # per network class: pad count, integer sum of squared gaps, and a
-        # doubly-linked circular list over occupied global ring positions
+        # per network class: pad count, integer sum of squared gaps (or the
+        # demand-weighted float sum), and a doubly-linked circular list
+        # over occupied global ring positions
         self._pad_count = [0] * self._class_count
         self._sumsq = [0] * self._class_count
+        if self.demand is not None:
+            self._weighted = [
+                self._checked_ir(
+                    weighted_compact_cost(self._fractions(cls), self.demand)
+                )
+                for cls in range(self._class_count)
+            ]
         self._nxt = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
         self._prv = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
         for cls in range(self._class_count):
@@ -264,8 +276,8 @@ class ArrayExchangeKernel:
         """One random legal adjacent swap ``(side_index, lo_slot_1based)``.
 
         Byte-compatible with ``MoveGenerator.propose``: identical candidate
-        ordering and rng consumption, so shared seeds walk both backends
-        through the same move sequence.
+        ordering and rng consumption, so shared seeds walk the kernel and
+        the object-model reference through the same move sequence.
         """
         if not self._candidates:
             return None
@@ -295,11 +307,14 @@ class ArrayExchangeKernel:
         self._swap(move[0], move[1])
 
     def cost(self) -> float:
-        """Current Eq.-3 total, recomposed from the integer state in O(1)."""
-        raw = self._sumsq[0]
-        for cls in range(1, self._class_count):
-            raw += self._sumsq[cls]
-        total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
+        """Current Eq.-3 total, recomposed from the incremental state in O(1)."""
+        if self.demand is None:
+            raw = self._sumsq[0]
+            for cls in range(1, self._class_count):
+                raw += self._sumsq[cls]
+            total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
+        else:
+            total = self.weights.ir * (sum(self._weighted) / self._ir_initial)
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
             total += self.weights.bonding * (self._omega_total / self._omega_initial)
@@ -311,8 +326,9 @@ class ArrayExchangeKernel:
         """Per-term Eq.-3 values of the current state, as the oracle reports them.
 
         Density and bonding read the integer state.  The IR and wirelength
-        terms re-run the object model's float code (``compact_ir_cost`` over
-        the supply-pad ring fractions, ``total_flyline_length_of_design``),
+        terms re-run the object model's float code (``compact_ir_cost`` or
+        ``weighted_compact_cost`` over the supply-pad ring fractions,
+        ``total_flyline_length_of_design``),
         O(n) once per report, so every value is bit-identical to
         ``CachedExchangeCost.breakdown``.  ``total`` is recomposed in
         ``ExchangeCost.total``'s order rather than taken from :meth:`cost`,
@@ -342,11 +358,16 @@ class ArrayExchangeKernel:
         return self._omega_total if self.psi > 1 else 0
 
     def _raw_ir(self) -> float:
-        """The compact IR proxy through the object model's float code, O(n)."""
-        return sum(
-            compact_ir_cost(((self._pad_positions(cls) - 0.5) / self._ring).tolist())
-            for cls in range(self._class_count)
-        )
+        """The IR proxy through the object model's float code, O(n)."""
+        if self.demand is None:
+            proxy = compact_ir_cost
+        else:
+            proxy = lambda fractions: weighted_compact_cost(fractions, self.demand)  # noqa: E731
+        return sum(proxy(self._fractions(cls)) for cls in range(self._class_count))
+
+    def _fractions(self, cls: int) -> List[float]:
+        """Ring fractions of one supply class's pads, as Python floats."""
+        return ((self._pad_positions(cls) - 0.5) / self._ring).tolist()
 
     def _pad_positions(self, cls: int) -> np.ndarray:
         """1-based global ring positions of one supply class's pads.
@@ -379,13 +400,13 @@ class ArrayExchangeKernel:
         """JSON-able full kernel state for crash-safe SA checkpointing.
 
         The integer terms (IR, density, omega) rebuild exactly from the
-        slot arrays, but the wirelength guard is a *float accumulator*
-        with deliberate drift between resyncs — restoring via
-        :meth:`restore` alone would reset it to the exact value and
+        slot arrays, but the wirelength guard and the demand-weighted IR
+        sums are *float accumulators* that drift by rounding — restoring via
+        :meth:`restore` alone would reset them to their exact values and
         desynchronize a resumed run's accept trace from the uninterrupted
-        one.  The accumulator, its resync phase, and the swap counters are
+        one.  The accumulators, the resync phase, and the swap counters are
         therefore part of the state.  (JSON round-trips Python floats
-        exactly, so the restored accumulator is bit-identical.)
+        exactly, so the restored accumulators are bit-identical.)
         """
         state = {
             "slots": [arrays.slot_net.tolist() for arrays in self.sides],
@@ -395,6 +416,8 @@ class ArrayExchangeKernel:
         if self._track_wl:
             state["wl_total"] = self._wl_total
             state["wl_since_resync"] = self._wl_since_resync
+        if self.demand is not None:
+            state["ir_weighted"] = list(self._weighted)
         return state
 
     def restore_checkpoint(self, state: dict) -> None:
@@ -407,6 +430,8 @@ class ArrayExchangeKernel:
         if self._track_wl and "wl_total" in state:
             self._wl_total = float(state["wl_total"])
             self._wl_since_resync = int(state.get("wl_since_resync", 0))
+        if self.demand is not None and "ir_weighted" in state:
+            self._weighted = [float(value) for value in state["ir_weighted"]]
 
     # -- hot path --------------------------------------------------------------
 
@@ -482,20 +507,58 @@ class ArrayExchangeKernel:
         nxt = self._nxt[cls]
         prv = self._prv[cls]
         if self._pad_count[cls] == 1:
+            if self.demand is not None:
+                self._weighted[cls] += self._checked_ir(
+                    self._gap_term(new_position, new_position)
+                    - self._gap_term(position, position)
+                )
             nxt[new_position] = prv[new_position] = new_position
             return
         left = int(prv[position])
         right = int(nxt[position])
-        ring = self._ring
-        old_l = (position - left) % ring
-        old_r = (right - position) % ring
-        new_l = (new_position - left) % ring
-        new_r = (right - new_position) % ring
-        self._sumsq[cls] += new_l * new_l + new_r * new_r - old_l * old_l - old_r * old_r
+        if self.demand is None:
+            ring = self._ring
+            old_l = (position - left) % ring
+            old_r = (right - position) % ring
+            new_l = (new_position - left) % ring
+            new_r = (right - new_position) % ring
+            self._sumsq[cls] += new_l * new_l + new_r * new_r - old_l * old_l - old_r * old_r
+        else:
+            self._weighted[cls] += self._checked_ir(
+                (self._gap_term(left, new_position) + self._gap_term(new_position, right))
+                - (self._gap_term(left, position) + self._gap_term(position, right))
+            )
         nxt[left] = new_position
         prv[right] = new_position
         nxt[new_position] = right
         prv[new_position] = left
+
+    def _gap_term(self, start: int, end: int) -> float:
+        """Demand-weighted square of the gap from pad *start* to pad *end*.
+
+        The float expressions of ``weighted_compact_cost``, so each term
+        equals the oracle's: an interior gap when *end* lies past *start*,
+        else the wrap gap from the last pad round to the first.
+        """
+        a = (start - 0.5) / self._ring
+        b = (end - 0.5) / self._ring
+        if end > start:
+            gap = b - a
+            middle = (a + b) / 2.0
+        else:
+            gap = 1.0 - a + b
+            middle = (a + gap / 2.0) % 1.0
+        return gap * gap * self.demand(middle)
+
+    @staticmethod
+    def _checked_ir(value: float) -> float:
+        """Refuse a non-finite demand-weighted IR value before it is summed."""
+        if not math.isfinite(value):
+            raise NonFiniteCostError(
+                f"exchange cost is non-finite ({value!r} in the demand-weighted "
+                "IR proxy); offending term(s): ir"
+            )
+        return value
 
     def _bump_run(self, run: int, step: int) -> None:
         old = int(self._run_delta[run])
@@ -553,11 +616,13 @@ class ArrayExchangeKernel:
     # -- zero-temperature polish ------------------------------------------------
 
     def polish(self, passes: int) -> None:
-        """Greedy sweep of every legal adjacent swap (see ``_polish``).
+        """Zero-temperature finish: greedy sweep of every legal adjacent swap.
 
-        Semantically identical to the object backend's polish: same side
-        and slot order, same strict-improvement threshold, so both
-        backends converge to the same local optimum.
+        Accepting only strict improvements until a full sweep finds none
+        (or the pass budget runs out) leaves the result locally optimal —
+        the SA explores, the polish converges.  Same side and slot order
+        and threshold as the object-model reference's polish, so both
+        converge to the same local optimum.
         """
         current = self.cost()
         for __ in range(passes):

@@ -86,8 +86,7 @@ REQUIRED: Dict[str, Dict[str, tuple]] = {
     "tune.begin": {"circuit": _STR, "cells": _NUM},
     "tune.cell": {"circuit": _STR, "cost": _NUM, "seconds": _NUM},
     "tune.end": {"cells": _NUM, "front": _NUM},
-    "kernel.stats": {"backend": _STR, "proposed": _NUM, "us_per_move": _NUM,
-                     "resyncs": _NUM},
+    "kernel.stats": {"proposed": _NUM, "us_per_move": _NUM, "resyncs": _NUM},
     "metrics": {"version": _NUM, "metrics": _DICT},
     "profile": {"mode": _STR, "top": _LIST},
     "verify.violation": {"stage": _STR, "policy": _STR, "codes": _LIST},
@@ -105,7 +104,7 @@ REQUIRED: Dict[str, Dict[str, tuple]] = {
 #: ``job`` attribution tags every event may carry).
 OPTIONAL: Dict[str, Dict[str, tuple]] = {
     "trace.meta": {"command": _STR, "workload": _STR, "seed": _NUM, "jobs": _NUM,
-                   "backend": _STR, "verify": _STR, "argv": _LIST, "profile": _STR},
+                   "verify": _STR, "argv": _LIST, "profile": _STR},
     "span.begin": {},
     "span.end": {"status": _STR},
     "engine.end": {"hits": _NUM, "misses": _NUM, "writes": _NUM, "invalid": _NUM,

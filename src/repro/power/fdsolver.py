@@ -13,7 +13,6 @@ of IR-drop").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -100,24 +99,13 @@ class FDSolver:
             self._factorizations[key] = cached
         return cached
 
-    def solve(self, pad_nodes: Iterable[Tuple[int, int]]) -> IRDropResult:
-        """Deprecated: one-shot assemble + solve of the full system.
-
-        Use ``factorize(pad_nodes).solve()`` — the factor-once path — which
-        matches this solver within 1e-9 and re-solves new injection vectors
-        without refactoring.  This legacy path stays as the independent
-        reference implementation the differential oracles compare against.
-        """
-        warnings.warn(
-            "FDSolver.solve() is deprecated; use "
-            "FDSolver.factorize(pad_nodes).solve() for the factor-once path",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._solve_object(pad_nodes)
-
     def _solve_object(self, pad_nodes: Iterable[Tuple[int, int]]) -> IRDropResult:
-        """Reference object-path solve (Python-loop assembly + spsolve)."""
+        """Reference one-shot solve (Python-loop assembly + spsolve).
+
+        ``factorize(pad_nodes).solve()`` is the production path and matches
+        this within 1e-9; this independent assembly stays as the reference
+        the ``irsolve_parity`` oracle and the tests compare against.
+        """
         config = self.config
         g = config.size
         pads = sorted(set(tuple(node) for node in pad_nodes))

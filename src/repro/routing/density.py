@@ -132,37 +132,27 @@ def density_map(assignment: Assignment, validate: bool = True) -> DensityMap:
     return result
 
 
-def max_density(
-    assignment: Assignment, validate: bool = True, backend: str = "auto"
-) -> int:
+def max_density(assignment: Assignment, validate: bool = True) -> int:
     """Shortcut: the maximum package density of an assignment.
 
-    ``backend`` follows the staged convention (``auto``/``object``/
-    ``array``); the array path accumulates the identical run/interval
-    structure on flat int arrays (:mod:`repro.kernels.density`) and is
-    value-identical — densities are integer counts.
+    Accumulates the run/interval structure on flat int arrays
+    (:mod:`repro.kernels.density`); ``density_map(...).max_density`` is
+    the value-identical reference walk (densities are integer counts).
     """
-    from ..kernels import resolve_stage_backend
+    if validate:
+        check_legal(assignment)
+    from ..kernels import max_density_of_order
 
-    if resolve_stage_backend(backend) == "array":
-        if validate:
-            check_legal(assignment)
-        from ..kernels import max_density_of_order
-
-        return max_density_of_order(assignment.quadrant, assignment.order)
-    return density_map(assignment, validate=validate).max_density
+    return max_density_of_order(assignment.quadrant, assignment.order)
 
 
-def max_density_of_design(assignments: Dict, backend: str = "auto") -> int:
+def max_density_of_design(assignments: Dict) -> int:
     """Maximum density across every quadrant of a design.
 
     ``assignments`` maps sides to :class:`Assignment` objects, as produced
     by :func:`repro.assign.assign_design`.
     """
-    return max(
-        max_density(assignment, backend=backend)
-        for assignment in assignments.values()
-    )
+    return max(max_density(assignment) for assignment in assignments.values())
 
 
 class MonotonicDensityEstimator:
@@ -175,8 +165,7 @@ class MonotonicDensityEstimator:
 
     name = "monotonic"
 
-    def __init__(self, backend: str = "auto", validate: bool = True) -> None:
-        self.backend = backend
+    def __init__(self, validate: bool = True) -> None:
         self.validate = validate
 
     def density_map(self, assignment: Assignment) -> DensityMap:
@@ -184,9 +173,7 @@ class MonotonicDensityEstimator:
         return density_map(assignment, validate=self.validate)
 
     def max_density(self, assignment: Assignment) -> int:
-        return max_density(
-            assignment, validate=self.validate, backend=self.backend
-        )
+        return max_density(assignment, validate=self.validate)
 
     def max_density_of_design(self, assignments: Dict) -> int:
         return max(

@@ -95,10 +95,6 @@ def run_codesign(params: dict, seed: Optional[int]):
     flow = CoDesignFlow(
         sa_params=_sa_params(params),
         grid_config=PowerGridConfig(size=int(params.get("grid", 32))),
-        # "backend" enters params only when non-default so that existing
-        # cached spec digests stay valid (both backends are move-for-move
-        # identical, so the value is the same either way).
-        backend=str(params.get("backend", "auto")),
     )
     result = flow.run(design, seed=seed)
     stats = result.exchange.stats
@@ -147,7 +143,6 @@ def run_design_run(params: dict, seed: Optional[int]):
         grid=int(params["grid"]) if "grid" in params else None,
         seed=seed,
         verify=str(params.get("verify", "off")),
-        backend=str(params.get("backend", "auto")),
     )
     flow_result = result.result
     stats = flow_result.exchange.stats
@@ -197,7 +192,6 @@ def run_tune_cell(params: dict, seed: Optional[int]):
         design,
         params=schedule,
         polish_passes=int(params.get("polish", 0)),
-        backend=str(params.get("backend", "auto")),
     )
     start = time.perf_counter()
     result = exchanger.run(assignments, seed=seed)

@@ -54,7 +54,6 @@ def sweep_specs(
     grid: SweepGrid,
     seed: int = 0,
     tiers: int = 1,
-    backend: str = "auto",
 ) -> List[JobSpec]:
     """One ``tune_cell`` spec per grid cell, in deterministic order.
 
@@ -76,8 +75,6 @@ def sweep_specs(
                         "moves_per_temp": int(moves_per_temp),
                         "replicate": int(replicate),
                     }
-                    if backend != "auto":
-                        params["backend"] = backend
                     specs.append(
                         JobSpec("tune_cell", params, seed=seed + replicate)
                     )
@@ -156,7 +153,6 @@ def run_sweep(
     grid: Optional[SweepGrid] = None,
     seed: int = 0,
     tiers: int = 1,
-    backend: str = "auto",
 ) -> Tuple[Dict, List]:
     """Run the full sweep through *engine*; returns (report, outcomes).
 
@@ -164,7 +160,7 @@ def run_sweep(
     partial grid would silently bias the front.
     """
     grid = grid or SweepGrid()
-    specs = sweep_specs(circuit, grid, seed=seed, tiers=tiers, backend=backend)
+    specs = sweep_specs(circuit, grid, seed=seed, tiers=tiers)
     telemetry = engine.telemetry
     telemetry.emit(
         "tune.begin", circuit=f"circuit{int(circuit)}", cells=len(specs)

@@ -71,7 +71,6 @@ def run_tempering(
     tiers: int = 1,
     grid: int = 32,
     polish_passes: int = 20,
-    backend_grid: str = "auto",
 ) -> Dict:
     """One parallel-tempering co-design run; returns the Table-3 row dict.
 
@@ -182,7 +181,6 @@ def run_tempering(
         states[best_chain],
         grid=grid,
         polish_passes=polish_passes,
-        backend=backend_grid,
     )
     result["tempering"] = {
         "chains": config.chains,
@@ -211,14 +209,13 @@ def _finalize(
     state: Dict,
     grid: int,
     polish_passes: int,
-    backend: str,
 ) -> Dict:
     """Measure the winning chain's best configuration like ``codesign``.
 
     Rebuilds the kernel at the shared DFA baseline, restores the best
     snapshot, applies the zero-temperature polish and reports through the
     kernel's own ``breakdown()`` / ``omega()`` — the same discipline as
-    :meth:`FingerPadExchanger._run_array`.
+    :meth:`FingerPadExchanger.run`.
     """
     from ..assign import DFAAssigner, assign_design, check_legal
     from ..exchange.checkpoint import decode_arrays

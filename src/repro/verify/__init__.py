@@ -18,6 +18,9 @@ violations into structured, machine-readable diagnostics:
     plus the monotonic re-legalization repair.
 ``workload``
     Deep verification of whole paper workloads — ``python -m repro check``.
+``reference``
+    :func:`reference_exchange`, the object-model anneal the array
+    exchange kernel is diffed against by the tests and the fuzzer.
 ``chaos``
     Deterministic fault injection (malformed circuits, NaN costs, cache
     corruption, worker crashes, timeouts) proving every fault surfaces as
@@ -57,6 +60,7 @@ from .policy import (
     repair_assignment,
     repair_assignments,
 )
+from .reference import reference_exchange
 from .workload import check_workload
 
 __all__ = [
@@ -83,6 +87,7 @@ __all__ = [
     "enabled",
     "merge",
     "normalize",
+    "reference_exchange",
     "repair_assignment",
     "repair_assignments",
 ]

@@ -75,32 +75,41 @@ def _chaos_malformed(params: dict, seed: Optional[int]):
 
 @register_job_type("chaos_nan_cost")
 def _chaos_nan_cost(params: dict, seed: Optional[int]):
-    """Run a tiny exchange whose IR proxy returns NaN mid-anneal."""
+    """Run a tiny exchange whose IR demand turns NaN mid-anneal.
+
+    The demand is uniform until ``poison_after`` pad moves have been
+    scored past the kernel's set-up evaluations, then NaN.
+    """
     from ..assign import DFAAssigner
     from ..circuits import build_design, table1_circuit
     from ..exchange import FingerPadExchanger, SAParams
-
-    poison_after = int(params.get("poison_after", 3))
-    calls = {"n": 0}
-
-    def poisoned_ir_proxy(fractions):
-        from ..power import compact_ir_cost
-
-        calls["n"] += 1
-        if calls["n"] > poison_after:
-            return float("nan")
-        return compact_ir_cost(fractions)
+    from ..package import NetType
 
     design = build_design(table1_circuit(1), seed=0)
+    pads = sum(
+        1
+        for _side, quadrant in design
+        for net in quadrant.netlist
+        if net.net_type is NetType.POWER
+    )
+    # Set-up scores every gap three times: the IR normalizer, the kernel's
+    # weighted sums and the before-breakdown.  Each pad move scores four.
+    poison_after = 3 * pads + 4 * int(params.get("poison_after", 3))
+    calls = {"n": 0}
+
+    def poisoned_demand(fraction):
+        calls["n"] += 1
+        return float("nan") if calls["n"] > poison_after else 1.0
+
     exchanger = FingerPadExchanger(
         design,
         params=SAParams(initial_temp=0.03, final_temp=0.01, cooling=0.5,
                         moves_per_temp=10),
-        ir_proxy=poisoned_ir_proxy,
+        demand=poisoned_demand,
         polish_passes=0,
     )
     result = exchanger.run(assign_design(DFAAssigner(), design, seed=seed), seed=seed)
-    # Unreachable when the guard works: the poisoned proxy must trip
+    # Unreachable when the guard works: the poisoned demand must trip
     # NonFiniteCostError long before the anneal completes.
     return {"best_cost": result.stats.best_cost}
 

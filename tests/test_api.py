@@ -1,9 +1,8 @@
 """The repro.api facade: same numbers as the legacy entry points.
 
 The facade is a front door, not a fork: every function must reproduce the
-legacy path bit for bit (same seeds in, same orders/metrics out), the
-uniform keywords must behave uniformly, and the legacy spellings it
-replaces must still work behind DeprecationWarning shims.
+legacy path bit for bit (same seeds in, same orders/metrics out) and the
+uniform keywords must behave uniformly.
 """
 
 from repro.assign import assign_design
@@ -22,6 +21,7 @@ from repro.flow import CoDesignFlow
 from repro.flow.codesign import CoDesignResult
 from repro.flow.metrics import measure
 from repro.power import PowerGridConfig
+from repro.verify import reference_exchange
 
 FAST_SA = SAParams(
     initial_temp=0.03, final_temp=1e-3, cooling=0.9, moves_per_temp=60
@@ -100,18 +100,17 @@ class TestExchangeParity:
         assert facade.stats.accepted == legacy.stats.accepted
 
     def test_backend_keyword_is_parity_checked(self, stacked):
+        """The removed ``backend=`` knob's parity contract: the facade's one
+        path equals the object-model reference it replaced."""
         baseline = assign_design(DFAAssigner(), stacked)
-        by_object = api.exchange(
-            stacked, baseline, sa_params=FAST_SA, seed=9, backend="object"
-        )
-        by_array = api.exchange(
-            stacked, baseline, sa_params=FAST_SA, seed=9, backend="array"
-        )
-        assert by_object.backend == "object"
-        assert by_array.backend == "array"
-        assert {s: a.order for s, a in by_object.after.items()} == {
-            s: a.order for s, a in by_array.after.items()
+        facade = api.exchange(stacked, baseline, sa_params=FAST_SA, seed=9)
+        reference = reference_exchange(stacked, baseline, params=FAST_SA, seed=9)
+        assert {s: a.order for s, a in facade.after.items()} == {
+            s: a.order for s, a in reference.after.items()
         }
+        assert facade.result.cost_breakdown_after == reference.cost_breakdown_after
+        with pytest.raises(TypeError):
+            api.exchange(stacked, baseline, seed=9, backend="object")
 
 
 class TestEvaluateParity:
@@ -148,12 +147,10 @@ class TestRunParity:
         assert facade.metrics_final == legacy.metrics_final
 
     def test_verify_and_backend_keywords(self, design):
-        result = api.run(
-            design, sa_params=FAST_SA, grid=16, seed=7,
-            verify="repair", backend="object",
-        )
-        assert result.backend == "object"
+        result = api.run(design, sa_params=FAST_SA, grid=16, seed=7, verify="repair")
         assert result.metrics_initial is not None
+        with pytest.raises(TypeError):
+            api.run(design, seed=7, backend="object")
 
     def test_run_result_json_friendly_bits(self, design):
         result = api.run(design, sa_params=FAST_SA, grid=16, seed=7)
@@ -188,32 +185,13 @@ class TestTelemetryKeyword:
 
 
 class TestDeprecationShims:
-    def test_random_assigner_ctor_seed_warns(self):
-        with pytest.deprecated_call():
-            RandomAssigner(seed=3)
-
-    def test_random_assigner_ctor_seed_still_works(self, design):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = RandomAssigner(seed=3)
-        quadrant = next(iter(design.quadrants.values()))
-        assert legacy.assign(quadrant).order == RandomAssigner().assign(
-            quadrant, seed=3
-        ).order
-
-    def test_exchanger_incremental_warns(self, design):
-        with pytest.deprecated_call():
-            exchanger = FingerPadExchanger(design, incremental=True)
-        assert exchanger.backend == "object"
-        with pytest.deprecated_call():
-            exchanger = FingerPadExchanger(design, incremental=False)
-        assert exchanger.backend == "exact"
+    """The shims are gone; the supported spellings must stay warning-free."""
 
     def test_no_warning_on_new_spellings(self, design):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             RandomAssigner()
-            FingerPadExchanger(design, backend="object")
+            FingerPadExchanger(design)
             api.assign(design, method="random", seed=0)
 
 

@@ -185,11 +185,6 @@ class TestRandomAssigner:
         orders = {tuple(RandomAssigner().assign(fig5, seed=s).order) for s in range(8)}
         assert len(orders) > 1
 
-    def test_default_seed_attribute_deprecated(self, fig5):
-        with pytest.deprecated_call():
-            assigner = RandomAssigner(seed=3)
-        assert assigner.assign(fig5).order == RandomAssigner().assign(fig5, seed=3).order
-
     @given(row_sizes, st.integers(min_value=0, max_value=1000))
     @settings(max_examples=50, deadline=None)
     def test_always_legal(self, sizes, seed):

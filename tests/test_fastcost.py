@@ -10,11 +10,11 @@ from repro.assign import DFAAssigner
 from repro.exchange import (
     CachedExchangeCost,
     ExchangeCost,
-    FingerPadExchanger,
     MoveGenerator,
     SAParams,
 )
 from repro.package import NetType
+from repro.verify import reference_exchange
 
 FAST_SA = SAParams(initial_temp=0.03, final_temp=1e-3, cooling=0.9, moves_per_temp=60)
 
@@ -83,12 +83,10 @@ class TestExchangerIntegration:
     def test_incremental_matches_exact_exchange(self, small_design):
         """The whole exchange must be seed-identical with and without caching."""
         initial = assign_design(DFAAssigner(), small_design)
-        fast = FingerPadExchanger(
-            small_design, params=FAST_SA, backend="object"
-        ).run(initial, seed=9)
-        slow = FingerPadExchanger(
-            small_design, params=FAST_SA, backend="exact"
-        ).run(initial, seed=9)
+        fast = reference_exchange(small_design, initial, params=FAST_SA, seed=9)
+        slow = reference_exchange(
+            small_design, initial, params=FAST_SA, seed=9, cost_class=ExchangeCost
+        )
         assert {s: a.order for s, a in fast.after.items()} == {
             s: a.order for s, a in slow.after.items()
         }
@@ -98,15 +96,15 @@ class TestExchangerIntegration:
         """Soft check: caching should not cost time (usually saves ~4x)."""
         initial = assign_design(DFAAssigner(), small_design)
 
-        def timed(backend):
+        def timed(cost_class):
             start = time.perf_counter()
-            FingerPadExchanger(
-                small_design, params=FAST_SA, backend=backend
-            ).run(initial, seed=9)
+            reference_exchange(
+                small_design, initial, params=FAST_SA, seed=9, cost_class=cost_class
+            )
             return time.perf_counter() - start
 
-        fast = timed("object")
-        slow = timed("exact")
+        fast = timed(CachedExchangeCost)
+        slow = timed(ExchangeCost)
         assert fast < slow * 1.5  # generous bound to stay CI-stable
 
 

@@ -1,11 +1,12 @@
 """Array exchange kernel: parity with the object model, proven not assumed.
 
 The contract of ``repro.kernels`` is strong: under a shared seed the array
-backend must walk the *identical* accept/reject trace as the object
-backend and land on the identical final assignment, while its
-incrementally maintained Eq.-3 total stays within 1e-9 of the exact
-from-scratch model at every probe point.  These tests enforce that
-contract on every Table-2/Table-3 circuit and on hypothesis-generated
+kernel must walk the *identical* accept/reject trace as the object-model
+reference (:func:`repro.verify.reference_exchange`) and land on the
+identical final assignment, while its incrementally maintained Eq.-3 total
+stays within 1e-9 of the exact from-scratch model at every probe point.
+These tests enforce that contract on every Table-2/Table-3 circuit, with
+the uniform and the demand-weighted IR proxy, and on hypothesis-generated
 designs.
 """
 
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign import DFAAssigner, RandomAssigner
-from repro.circuits import CircuitSpec, build_design, table1_circuit
-from repro.errors import ExchangeError
+from repro.circuits import CircuitSpec, boundary_demand, build_design, table1_circuit
+from repro.circuits.realchip import build_realchip
+from repro.errors import ExchangeError, NonFiniteCostError
 from repro.exchange import (
     CachedExchangeCost,
     CostWeights,
@@ -30,14 +32,12 @@ from repro.exchange import (
     omega_of_design,
 )
 from repro.exchange.annealer import SimulatedAnnealer
-from repro.kernels import (
-    ArrayExchangeKernel,
-    resolve_backend,
-    row_run_counts,
-)
+from repro.kernels import ArrayExchangeKernel, row_run_counts
 from repro.package import NetType
+from repro.power import weighted_compact_cost
 from repro.routing.density import run_partition
-from repro.verify import check_exchange_total
+from repro.runtime import Telemetry, using_telemetry
+from repro.verify import check_exchange_total, reference_exchange
 
 FAST_SA = SAParams(
     initial_temp=0.03, final_temp=1e-3, cooling=0.9, moves_per_temp=60
@@ -115,10 +115,9 @@ class TestTraceParity:
         assert trace_o == trace_a
         assert final_o == final_a
         assert stats_o.accepted == stats_a.accepted
-        # (accepted_uphill is NOT asserted: a move whose true delta is
-        # exactly zero may register as +1e-16 "uphill" in one backend's
-        # float arithmetic and 0.0 in the other's; accept decisions and
-        # traces still agree, which is the contract.)
+        # Uphill counts only moves above BEST_IMPROVEMENT_EPS, so a zero
+        # delta read as +1e-16 by one cost path does not split the counts.
+        assert stats_o.accepted_uphill == stats_a.accepted_uphill
         assert stats_o.best_snapshot == kernel.orders(stats_a.best_snapshot)
         assert stats_o.best_cost == pytest.approx(stats_a.best_cost, rel=1e-9)
 
@@ -131,36 +130,160 @@ class TestTraceParity:
         assert trace_a != trace_b
 
 
+def orders_of(assignments):
+    return {side: a.order for side, a in assignments.items()}
+
+
+def assert_same_exchange(kernel_result, reference_result):
+    """Orders, breakdowns, omega and every SAStats count must agree exactly."""
+    assert orders_of(kernel_result.after) == orders_of(reference_result.after)
+    assert kernel_result.omega_before == reference_result.omega_before
+    assert kernel_result.omega_after == reference_result.omega_after
+    assert kernel_result.cost_breakdown_before == reference_result.cost_breakdown_before
+    assert kernel_result.cost_breakdown_after == reference_result.cost_breakdown_after
+    for field in ("proposed", "infeasible", "accepted", "accepted_uphill"):
+        assert getattr(kernel_result.stats, field) == getattr(
+            reference_result.stats, field
+        ), field
+    assert kernel_result.stats.cost_trace == pytest.approx(
+        reference_result.stats.cost_trace, rel=1e-12
+    )
+
+
 class TestExchangerParity:
-    """FingerPadExchanger end-to-end (anneal + polish + reporting)."""
+    """FingerPadExchanger end-to-end (anneal + polish + reporting) against
+    the object-model reference on both of its cost classes."""
 
     @pytest.mark.parametrize("tiers,index", [(1, 1), (1, 3), (4, 1), (4, 3)])
     def test_final_assignments_identical(self, tiers, index):
         design = circuit_design(index, tiers)
         baseline = assign_design(DFAAssigner(), design)
-        result_o = FingerPadExchanger(
-            design, params=FAST_SA, backend="object"
-        ).run(baseline, seed=9)
-        result_a = FingerPadExchanger(
-            design, params=FAST_SA, backend="array"
-        ).run(baseline, seed=9)
-        assert {s: a.order for s, a in result_o.after.items()} == {
-            s: a.order for s, a in result_a.after.items()
-        }
-        assert result_o.omega_before == result_a.omega_before
-        assert result_o.omega_after == result_a.omega_after
-        assert result_o.cost_breakdown_before == result_a.cost_breakdown_before
-        assert result_o.cost_breakdown_after == result_a.cost_breakdown_after
+        result_a = FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=9)
+        for cost_class in (CachedExchangeCost, ExchangeCost):
+            result_o = reference_exchange(
+                design, baseline, params=FAST_SA, seed=9, cost_class=cost_class
+            )
+            assert_same_exchange(result_a, result_o)
 
     def test_full_default_schedule(self):
         """One run at the paper's full SA schedule, not just the fast one."""
         design = circuit_design(1, 4)
         baseline = assign_design(DFAAssigner(), design)
-        result_o = FingerPadExchanger(design, backend="object").run(baseline, seed=7)
-        result_a = FingerPadExchanger(design, backend="array").run(baseline, seed=7)
-        assert {s: a.order for s, a in result_o.after.items()} == {
-            s: a.order for s, a in result_a.after.items()
-        }
+        result_o = reference_exchange(design, baseline, seed=7)
+        result_a = FingerPadExchanger(design).run(baseline, seed=7)
+        assert_same_exchange(result_a, result_o)
+
+
+class TestDemandParity:
+    """The demand-weighted IR proxy on the kernel vs the object model's
+    ``weighted_compact_cost`` proxy: exact breakdowns, identical orders."""
+
+    @staticmethod
+    def exchange_both(design, baseline, demand, **options):
+        kernel = FingerPadExchanger(design, demand=demand, **options).run(
+            baseline, seed=5
+        )
+        reference = reference_exchange(
+            design,
+            baseline,
+            ir_proxy=lambda fractions: weighted_compact_cost(fractions, demand),
+            seed=5,
+            **options,
+        )
+        return kernel, reference
+
+    def test_realchip_drop_map_demand(self):
+        from repro.circuits.realchip import (
+            drop_map_demand,
+            hotspot_current_map,
+            realchip_grid_config,
+        )
+        from repro.power import FDSolver
+
+        design = build_realchip()
+        config = realchip_grid_config(size=24)
+        solver = FDSolver(config, current_map=hotspot_current_map(config))
+        baseline = assign_design(DFAAssigner(), design)
+        demand = drop_map_demand(design, baseline, config, solver)
+        kernel, reference = self.exchange_both(
+            design, baseline, demand, params=FAST_SA, net_type=None,
+            weights=CostWeights(ir=1.0, density=0.05, bonding=0.0),
+        )
+        assert_same_exchange(kernel, reference)
+        assert kernel.cost_breakdown_after["ir"] < 1.0
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("tiers,index", [(1, 2), (4, 3)])
+    def test_boundary_demand_table1(self, tiers, index, split):
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel, reference = self.exchange_both(
+            design, baseline, boundary_demand, params=FAST_SA, split_networks=split
+        )
+        assert_same_exchange(kernel, reference)
+
+    def test_single_pad_class(self):
+        """One pad per class exercises the one-gap wrap form."""
+        design = build_design(
+            CircuitSpec(name="lonely", finger_count=16, supply_fraction=0.07),
+            seed=1,
+        )
+        baseline = assign_design(DFAAssigner(), design)
+        kernel, reference = self.exchange_both(
+            design, baseline, boundary_demand, params=FAST_SA, net_type=None
+        )
+        assert_same_exchange(kernel, reference)
+
+    def test_walk_breakdown_equals_oracle(self):
+        design = circuit_design(3, 1)
+        baseline = assign_design(RandomAssigner(), design, seed=2)
+        kernel = ArrayExchangeKernel(design, baseline, demand=boundary_demand)
+        proxy = lambda fractions: weighted_compact_cost(fractions, boundary_demand)  # noqa: E731
+        oracle = CachedExchangeCost(design, baseline, ir_proxy=proxy)
+        exact = ExchangeCost(design, baseline, ir_proxy=proxy)
+        assert kernel.breakdown() == oracle.breakdown(baseline)
+        assert kernel.cost() == exact.total(baseline)
+        rng = random.Random(3)
+        for __ in range(400):
+            move = kernel.propose(rng)
+            if move is not None:
+                kernel.apply(move)
+        after = kernel.assignments()
+        assert kernel.breakdown() == oracle.breakdown(after)
+        assert kernel.cost() == pytest.approx(exact.total(after), rel=1e-12)
+
+    def test_checkpoint_keeps_the_weighted_sums(self):
+        design = circuit_design(2, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(design, baseline, demand=boundary_demand)
+        rng = random.Random(8)
+        for __ in range(200):
+            move = kernel.propose(rng)
+            if move is not None:
+                kernel.apply(move)
+        state = kernel.checkpoint_state()
+        resumed = ArrayExchangeKernel(design, baseline, demand=boundary_demand)
+        resumed.restore_checkpoint(state)
+        assert resumed.cost() == kernel.cost()
+
+    def test_nonfinite_demand_names_the_ir_term(self):
+        design = circuit_design(1, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        with pytest.raises(NonFiniteCostError, match="ir"):
+            ArrayExchangeKernel(design, baseline, demand=lambda f: float("nan"))
+        calls = {"n": 0}
+
+        def turns_nan(fraction):
+            calls["n"] += 1
+            return float("nan") if calls["n"] > 1000 else 1.0
+
+        kernel = ArrayExchangeKernel(design, baseline, demand=turns_nan)
+        rng = random.Random(0)
+        with pytest.raises(NonFiniteCostError, match="ir"):
+            for __ in range(10000):
+                move = kernel.propose(rng)
+                if move is not None:
+                    kernel.apply(move)
 
 
 class TestDeltaExactness:
@@ -312,36 +435,51 @@ class TestStateStructures:
 
 
 class TestBackendResolution:
+    """One production path: the kernel at every size, no ``backend=`` knob."""
+
     def test_explicit_backends(self):
         design = circuit_design(1, 1)
-        assert resolve_backend("object", design) == "object"
-        assert resolve_backend("array", design) == "array"
-        assert resolve_backend("exact", design) == "exact"
+        for spelling in ("auto", "object", "array", "exact"):
+            with pytest.raises(TypeError):
+                FingerPadExchanger(design, backend=spelling)
 
     @pytest.mark.parametrize("fingers", [16, 96, 448, 4096])
     def test_auto_is_array_at_every_size(self, fingers):
         design = build_design(CircuitSpec(name="d", finger_count=fingers), seed=0)
-        assert resolve_backend("auto", design) == "array"
-        proxy = lambda fractions: 1.0  # noqa: E731
-        assert resolve_backend("auto", design, ir_proxy=proxy) == "object"
+        baseline = assign_design(DFAAssigner(), design)
+        params = SAParams(
+            initial_temp=0.03, final_temp=0.02, cooling=0.9, moves_per_temp=20
+        )
+        telemetry = Telemetry()
+        with using_telemetry(telemetry):
+            FingerPadExchanger(design, params=params, polish_passes=0).run(
+                baseline, seed=0
+            )
+        (stats,) = telemetry.events_named("kernel.stats")
+        assert stats["proposed"] == params.total_moves()
 
     def test_custom_ir_proxy_stays_on_object(self):
+        # An arbitrary fractions -> cost proxy lives on the object-model
+        # reference only; the production exchanger takes demand= instead.
         design = circuit_design(1, 1)
-        proxy = lambda fractions: 1.0  # noqa: E731
-        assert resolve_backend("auto", design, ir_proxy=proxy) == "object"
-        with pytest.raises(ExchangeError):
-            resolve_backend("array", design, ir_proxy=proxy)
+        baseline = assign_design(DFAAssigner(), design)
+        params = SAParams(
+            initial_temp=0.03, final_temp=0.02, cooling=0.9, moves_per_temp=20
+        )
+        result = reference_exchange(
+            design, baseline, params=params, ir_proxy=lambda f: 2.0, seed=0
+        )
+        assert result.cost_breakdown_before["ir"] == 1.0
+        assert result.cost_breakdown_after["ir"] == 1.0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ExchangeError):
-            resolve_backend("vectorized", circuit_design(1, 1))
+        with pytest.raises(TypeError):
+            FingerPadExchanger(circuit_design(1, 1), backend="vectorized")
 
     def test_exchanger_array_with_ir_proxy_raises(self):
-        design = circuit_design(1, 1)
-        with pytest.raises(ExchangeError):
-            FingerPadExchanger(
-                design, backend="array", ir_proxy=lambda f: 1.0
-            )
+        # demand= replaced the object-only ir_proxy= one for one
+        with pytest.raises(TypeError):
+            FingerPadExchanger(circuit_design(1, 1), ir_proxy=lambda f: 1.0)
 
 
 class TestPropertyParity:
@@ -430,7 +568,7 @@ class TestKernelSpeed:
 
 
 def test_numpy_is_available():
-    """The array backend is part of this repo's supported surface."""
+    """The array kernels are this repo's production path."""
     assert np is not None
 
 
@@ -439,8 +577,8 @@ class TestResyncCrossingParity:
 
     The kernel periodically replaces its incrementally accumulated
     wirelength with a vectorized exact recomputation.  If the resynced
-    value ever differed enough to flip a Metropolis decision, the array
-    and object backends would diverge from that move on — so a run forced
+    value ever differed enough to flip a Metropolis decision, the kernel
+    and the object model would diverge from that move on — so a run forced
     across many resync boundaries must still be move-for-move identical.
     """
 

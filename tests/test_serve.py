@@ -482,11 +482,12 @@ class TestGracefulShutdown:
                 process.wait(timeout=10)
 
     def test_run_sigterm_exits_143(self, tmp_path):
-        # The array kernels finish the smoke jobs in ~0.1 s, before the
-        # signal lands; the object oracle keeps the run ~1 s long.
+        # The ten Table-3 co-design jobs keep the engine busy for ~1.5 s on
+        # two workers, so a signal shortly after the banner lands mid-run.
+        trace = tmp_path / "trace.jsonl"
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "run", "smoke",
-             "--jobs", "2", "--no-cache", "--backend", "object"],
+            [sys.executable, "-m", "repro", "run", "table3",
+             "--jobs", "2", "--no-cache", "--trace", str(trace)],
             cwd=str(tmp_path), env=_env_with_src(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -508,3 +509,7 @@ class TestGracefulShutdown:
                 process.wait(timeout=10)
         assert returncode == 128 + signal.SIGTERM, stderr
         assert "interrupted by signal" in stderr
+        # The drain flushed the trace with at least one job still in flight.
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        done = sum(1 for event in events if event["event"] == "job.done")
+        assert done < 10, f"all {done} jobs finished before SIGTERM landed"

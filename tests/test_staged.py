@@ -1,4 +1,4 @@
-"""Staged pipeline protocols, kernel parity and deprecation shims (PR 8)."""
+"""Staged pipeline protocols and kernel parity with the object-model references."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-import repro.kernels.irsolve as irsolve_module
 from repro.assign import (
     Assignment,
     DFAAssigner,
@@ -16,18 +15,18 @@ from repro.assign import (
     assign_quadrant,
 )
 from repro.circuits import TABLE1_SPECS, build_design, fig5_quadrant, fig13_quadrant
-from repro.errors import AssignmentError, ExchangeError, PowerModelError
+from repro.errors import AssignmentError, PowerModelError
 from repro.kernels import (
     GridFactorization,
     dfa_order,
     factorize_grid,
     ifa_order,
     max_density_of_order,
-    resolve_stage_backend,
 )
 from repro.power import FDSolver, IRDropAnalyzer, PowerGridConfig
 from repro.routing import (
     MonotonicDensityEstimator,
+    density_map,
     max_density,
     max_density_of_design,
 )
@@ -57,31 +56,30 @@ class TestAssignKernelParity:
             dfa_order(fig5_quadrant(), cut_line_n=0)
 
     def test_staged_backends_agree(self, small_design):
+        """The staged kernel path equals the assigners' own reference assign."""
         for assigner in (IFAAssigner(), DFAAssigner(cut_line_n=2)):
-            via_object = assign_design(assigner, small_design, backend="object")
-            via_array = assign_design(assigner, small_design, backend="array")
-            assert {s: a.order for s, a in via_object.items()} == {
-                s: a.order for s, a in via_array.items()
+            staged = assign_design(assigner, small_design)
+            reference = {side: assigner.assign(q) for side, q in small_design}
+            assert {s: a.order for s, a in staged.items()} == {
+                s: a.order for s, a in reference.items()
             }
 
     def test_array_backend_skips_custom_assigners(self, small_design):
-        # Randomized/custom strategies have no kernel twin; the array
-        # backend must still run their own assign with staged seeds.
-        via_array = assign_design(
-            RandomAssigner(), small_design, seed=3, backend="array"
-        )
-        via_object = assign_design(
-            RandomAssigner(), small_design, seed=3, backend="object"
-        )
-        assert {s: a.order for s, a in via_array.items()} == {
-            s: a.order for s, a in via_object.items()
+        # Randomized/custom strategies have no kernel twin; the staged
+        # path must still run their own assign with staged seeds.
+        staged = assign_design(RandomAssigner(), small_design, seed=3)
+        own = {
+            side: RandomAssigner().assign(q, seed=3 + index)
+            for index, (side, q) in enumerate(small_design)
+        }
+        assert {s: a.order for s, a in staged.items()} == {
+            s: a.order for s, a in own.items()
         }
 
     def test_assign_quadrant_array_matches_object(self):
         quadrant = fig13_quadrant()
-        array = assign_quadrant(DFAAssigner(), quadrant, backend="array")
-        obj = assign_quadrant(DFAAssigner(), quadrant, backend="object")
-        assert array.order == obj.order
+        array = assign_quadrant(DFAAssigner(), quadrant)
+        assert array.order == DFAAssigner().assign(quadrant).order
         assert isinstance(array, Assignment)
 
 
@@ -92,37 +90,51 @@ class TestDensityKernelParity:
             for assignment in assignments.values():
                 assert max_density_of_order(
                     assignment.quadrant, assignment.order
-                ) == max_density(assignment, backend="object")
+                ) == density_map(assignment).max_density
+                assert max_density(assignment) == density_map(assignment).max_density
 
     def test_design_level_backend_keyword(self, small_design):
         assignments = assign_design(DFAAssigner(), small_design)
-        assert max_density_of_design(
-            assignments, backend="array"
-        ) == max_density_of_design(assignments, backend="object")
+        assert max_density_of_design(assignments) == max(
+            density_map(a).max_density for a in assignments.values()
+        )
+        with pytest.raises(TypeError):
+            max_density_of_design(assignments, backend="object")
 
     def test_estimator_class(self, small_design):
         assignments = assign_design(DFAAssigner(), small_design)
-        object_est = MonotonicDensityEstimator(backend="object")
-        array_est = MonotonicDensityEstimator(backend="array")
-        assert object_est.max_density_of_design(
+        assert MonotonicDensityEstimator().max_density_of_design(
             assignments
-        ) == array_est.max_density_of_design(assignments)
+        ) == max(density_map(a).max_density for a in assignments.values())
 
 
 class TestStageBackendResolver:
-    def test_auto_is_array(self):
-        # no size threshold: the kernels are the production path everywhere
-        assert resolve_stage_backend("auto") == "array"
+    """The per-stage backend resolver is gone: the kernels are the only
+    staged path, and the removed ``backend=`` knob is refused."""
 
-    def test_explicit_spellings(self):
-        assert resolve_stage_backend("object") == "object"
-        assert resolve_stage_backend("array") == "array"
-        # "exact" only means something to the exchange cost machinery.
-        assert resolve_stage_backend("exact") == "object"
+    def test_auto_is_array(self, monkeypatch):
+        # no size threshold: the kernels are the production path everywhere
+        import repro.kernels as kernels
+
+        calls = []
+        original = kernels.dfa_order
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "dfa_order", spy)
+        assign_quadrant(DFAAssigner(), fig13_quadrant())
+        assert len(calls) == 1
+
+    def test_explicit_spellings(self, small_design):
+        for spelling in ("auto", "object", "array", "exact"):
+            with pytest.raises(TypeError):
+                assign_design(DFAAssigner(), small_design, backend=spelling)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ExchangeError):
-            resolve_stage_backend("gpu")
+        with pytest.raises(TypeError):
+            assign_quadrant(DFAAssigner(), fig13_quadrant(), backend="gpu")
 
 
 class TestIRSolveKernel:
@@ -151,14 +163,6 @@ class TestIRSolveKernel:
                 rtol=1e-9,
                 atol=1e-12,
             )
-
-    def test_banded_fallback_matches_scipy_path(self, monkeypatch):
-        reference = factorize_grid(self.GRID, self.PADS).solve()
-        monkeypatch.setattr(irsolve_module, "HAVE_SCIPY", False)
-        fallback = factorize_grid(self.GRID, self.PADS).solve()
-        np.testing.assert_allclose(
-            fallback.voltage, reference.voltage, rtol=1e-9, atol=1e-10
-        )
 
     def test_solver_factorization_cache(self):
         solver = FDSolver(self.GRID)
@@ -247,40 +251,14 @@ class TestProtocols:
             api.assign(small_design, method=Reversed(), verify="strict")
 
     def test_api_backend_keywords(self, small_design):
-        array = api.assign(small_design, seed=0, backend="array")
-        obj = api.assign(small_design, seed=0, backend="object")
-        assert array.orders() == obj.orders()
-        measured = api.evaluate(
-            small_design, obj.assignments, backend="array", with_ir=False
+        assigned = api.assign(small_design, seed=0)
+        reference = {side: DFAAssigner().assign(q) for side, q in small_design}
+        assert assigned.orders() == {s.value: a.order for s, a in reference.items()}
+        measured = api.evaluate(small_design, assigned.assignments, with_ir=False)
+        assert measured.max_density == max(
+            density_map(a).max_density for a in reference.values()
         )
-        assert measured.max_density == api.evaluate(
-            small_design, obj.assignments, backend="object", with_ir=False
-        ).max_density
-
-
-class TestDeprecationShims:
-    def test_assign_design_method_warns_and_matches(self, small_design):
-        staged = assign_design(DFAAssigner(), small_design, seed=2)
-        with pytest.warns(DeprecationWarning, match="assign_design"):
-            legacy = DFAAssigner().assign_design(small_design, seed=2)
-        assert {s: a.order for s, a in staged.items()} == {
-            s: a.order for s, a in legacy.items()
-        }
-
-    def test_fdsolver_solve_warns_and_matches(self):
-        config = PowerGridConfig(size=12)
-        pads = [(0, 0), (11, 11)]
-        fresh = FDSolver(config).factorize(pads).solve()
-        with pytest.warns(DeprecationWarning, match="factorize"):
-            legacy = FDSolver(config).solve(pads)
-        np.testing.assert_allclose(
-            legacy.voltage, fresh.voltage, rtol=1e-9, atol=1e-12
-        )
-
-    def test_analyzer_solve_warns_and_matches(self, small_design):
-        assignments = assign_design(DFAAssigner(), small_design)
-        analyzer = IRDropAnalyzer(small_design)
-        fresh = analyzer.factorize(assignments).solve()
-        with pytest.warns(DeprecationWarning, match="factorize"):
-            legacy = analyzer.solve(assignments)
-        assert legacy.max_drop == pytest.approx(fresh.max_drop, rel=1e-12)
+        with pytest.raises(TypeError):
+            api.assign(small_design, seed=0, backend="object")
+        with pytest.raises(TypeError):
+            api.evaluate(small_design, assigned.assignments, backend="object")
