@@ -169,7 +169,7 @@ def _run_workload(
                 print(f"FAILED {outcome.spec.label()}: {outcome.error}", file=sys.stderr)
             return 1
         print(workload.render(outcomes))
-        counters = telemetry.snapshot()
+        counters = telemetry.metrics.counters()
         end = telemetry.events_named("engine.end")[-1]
         summary = (
             f"done in {end['seconds']:.2f}s: {len(specs)} jobs, "

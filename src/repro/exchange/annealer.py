@@ -234,7 +234,7 @@ class SimulatedAnnealer:
                     proposed=stats.proposed,
                     temperature=round(temperature, 8),
                 )
-                telemetry.count("checkpoint.resumes")
+                telemetry.metrics.counter("checkpoint.resumes").inc()
         # Hoisted out of the move loop: the cadence test runs every move,
         # so it must cost one local int check, not two attribute loads.
         checkpoint_interval = checkpoint.interval if checkpoint is not None else 0
@@ -263,7 +263,7 @@ class SimulatedAnnealer:
                         # move, keep the last trusted state, and record it.
                         undo(move)
                         stats.nonfinite_rejected += 1
-                        telemetry.count("sa.nonfinite_rejected")
+                        telemetry.metrics.counter("sa.nonfinite_rejected").inc()
                         telemetry.emit(
                             "sa.nonfinite",
                             cost=repr(new_cost),

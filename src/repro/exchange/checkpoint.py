@@ -139,7 +139,7 @@ class SACheckpointer:
         self.saves += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.count("checkpoint.saves")
+            telemetry.metrics.counter("checkpoint.saves").inc()
             telemetry.emit(
                 "checkpoint.saved",
                 proposed=int(payload.get("proposed", 0)),
@@ -189,7 +189,7 @@ class SACheckpointer:
 
     def _reject(self, reason: str) -> None:
         telemetry = get_telemetry()
-        telemetry.count("checkpoint.invalid")
+        telemetry.metrics.counter("checkpoint.invalid").inc()
         telemetry.emit("checkpoint.invalid", reason=reason, path=str(self.path))
         if self.strict:
             raise CheckpointIntegrityError(

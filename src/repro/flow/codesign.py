@@ -232,7 +232,7 @@ class CoDesignFlow:
                 fallback = assign_design(IFAAssigner(), design, seed=seed)
                 check_assignments(design, fallback).raise_if_errors()
                 telemetry.emit("verify.degrade", stage=stage, fallback="IFA")
-                telemetry.count("verify.degraded")
+                telemetry.metrics.counter("verify.degraded").inc()
                 return fallback
             repaired.raise_if_errors()
         report.raise_if_errors()

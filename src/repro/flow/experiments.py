@@ -101,8 +101,7 @@ def sweep_seeds(
     per_seed: List[Dict[str, float]] = []
     for seed in seeds:
         with span("experiment.seed", telemetry, seed=seed):
-            with telemetry.timer("experiment.seed", seed=seed):
-                per_seed.append(experiment(seed))
+            per_seed.append(experiment(seed))
     return _aggregate(per_seed, seeds)
 
 

@@ -6,9 +6,9 @@ a run:
 
 - :mod:`~repro.obs.spans` — hierarchical spans with cross-process
   propagation through pool workers;
-- :mod:`~repro.obs.metrics` — a registry of counters, gauges and
-  fixed-bucket histograms shipped on-trace as versioned ``metrics``
-  events;
+- :mod:`~repro.obs.metrics` — the one counter store: a registry of
+  counters, gauges and fixed-bucket histograms shipped on-trace as
+  versioned ``metrics`` events;
 - :mod:`~repro.obs.schema` — the versioned event schema and its
   validator (surfaced as ``repro.verify.check_trace_events`` and the
   ``repro check-trace`` CLI);
@@ -45,8 +45,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_metrics,
-    merge_histograms,
 )
 from .spans import SpanHandle, attached_to, current_span_id, new_span_id, open_span, span
 
@@ -95,8 +93,6 @@ __all__ = [
     "SpanHandle",
     "attached_to",
     "current_span_id",
-    "get_metrics",
-    "merge_histograms",
     "metrics",
     "new_span_id",
     "open_span",

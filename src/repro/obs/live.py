@@ -21,9 +21,10 @@ source registry, attributed by its ``job`` tag (worker flushes) or untagged
 against the previous snapshot from the same source and adds only that, with
 Prometheus-style counter-reset detection: a snapshot whose count went
 *backwards* means the source restarted (a re-executed job label reuses a
-fresh worker telemetry), so the whole snapshot is folded as new.  Histogram
-deltas reuse the bucket layout contract of
-:func:`repro.obs.metrics.merge_histograms`.
+fresh worker telemetry), so the whole snapshot is folded as new.  The
+children are the :mod:`repro.obs.metrics` instruments themselves, and
+``repro stats`` folds a trace through the same :meth:`LiveRegistry.ingest`
+(:meth:`LiveRegistry.totals`), so a trace and a scrape cannot disagree.
 
 The scrape side is :meth:`LiveRegistry.render_prometheus` — text exposition
 format v0.0.4: ``# HELP``/``# TYPE`` lines, escaped label values, and
@@ -37,8 +38,9 @@ from __future__ import annotations
 import math
 import re
 import threading
-from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .metrics import INSTRUMENTS, Counter, Gauge, Histogram, Labels, MetricsRegistry
 
 #: Version of the ``/v1/stats`` live-snapshot payload.
 LIVE_SCHEMA = 1
@@ -49,9 +51,10 @@ REQUEST_SECONDS_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Sources tracked for delta-folding before the oldest are dropped.  A
-#: dropped source that flushes again is treated as a counter reset (its
-#: whole snapshot folds), which can only over-count, never lose data.
+#: Sources tracked for delta-folding before the least recently flushed is
+#: dropped.  A dropped source that flushes again is treated as a counter
+#: reset (its whole snapshot folds), which can only over-count, never lose
+#: data.
 MAX_SOURCES = 1024
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -99,14 +102,11 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-_LabelItems = Tuple[Tuple[str, str], ...]
-
-
-def _label_key(labels: Dict[str, str]) -> _LabelItems:
+def _label_key(labels: Dict[str, str]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _render_labels(items: _LabelItems, extra: Optional[List[Tuple[str, str]]] = None) -> str:
+def _render_labels(items: Labels, extra: Optional[List[Tuple[str, str]]] = None) -> str:
     pairs = list(items) + list(extra or [])
     if not pairs:
         return ""
@@ -116,115 +116,23 @@ def _render_labels(items: _LabelItems, extra: Optional[List[Tuple[str, str]]] = 
     return "{" + body + "}"
 
 
-class LiveCounter:
-    """One labeled counter child (monotonic)."""
+class _LiveMetric:
+    """One metric family: kind, help text and its labeled children.
 
-    __slots__ = ("labels", "value", "_lock")
-    kind = "counter"
-
-    def __init__(self, labels: _LabelItems, lock: threading.Lock) -> None:
-        self.labels = labels
-        self.value = 0.0
-        self._lock = lock
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-
-class LiveGauge:
-    """One labeled gauge child (last write wins)."""
-
-    __slots__ = ("labels", "value", "_lock")
-    kind = "gauge"
-
-    def __init__(self, labels: _LabelItems, lock: threading.Lock) -> None:
-        self.labels = labels
-        self.value: Optional[float] = None
-        self._lock = lock
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value = (self.value or 0.0) + amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-
-class LiveHistogram:
-    """One labeled fixed-bucket histogram child.
-
-    Bucket ``counts[i]`` covers ``bounds[i-1] < v <= bounds[i]``; the last
-    slot is the overflow bucket (rendered as ``+Inf``), exactly matching
-    :class:`repro.obs.metrics.Histogram` so snapshots merge losslessly.
+    ``raw`` is the repro instrument name the family was first registered
+    under (``sa.delta``); ``name`` its exposition form (``repro_sa_delta``).
     """
 
-    __slots__ = ("labels", "bounds", "counts", "count", "total", "_lock")
-    kind = "histogram"
+    __slots__ = ("name", "raw", "kind", "help", "bounds", "children")
 
-    def __init__(self, labels: _LabelItems, bounds: Sequence[float],
-                 lock: threading.Lock) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError(
-                f"histogram bounds must be sorted and non-empty: {bounds!r}"
-            )
-        self.labels = labels
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self._lock = lock
-
-    def record(self, value: float) -> None:
-        with self._lock:
-            self.counts[bisect_right(self.bounds, value)] += 1
-            self.count += 1
-            self.total += value
-
-    def add_counts(self, bounds: Sequence[float], counts: Sequence[int],
-                   count: int, total: float) -> None:
-        """Fold a pre-bucketed delta in (ingest path)."""
-        if tuple(float(b) for b in bounds) != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        with self._lock:
-            for i, c in enumerate(counts):
-                self.counts[i] += c
-            self.count += count
-            self.total += total
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "bounds": list(self.bounds),
-                "counts": list(self.counts),
-                "count": self.count,
-                "sum": self.total,
-            }
-
-
-class _LiveMetric:
-    """One metric family: kind, help text and its labeled children."""
-
-    __slots__ = ("name", "kind", "help", "bounds", "children")
-
-    def __init__(self, name: str, kind: str, help_text: str,
+    def __init__(self, name: str, raw: str, kind: str, help_text: str,
                  bounds: Optional[Sequence[float]] = None) -> None:
         self.name = name
+        self.raw = raw
         self.kind = kind
         self.help = help_text
         self.bounds = tuple(float(b) for b in bounds) if bounds else None
-        self.children: Dict[_LabelItems, object] = {}
+        self.children: Dict[Labels, object] = {}
 
 
 class LiveRegistry:
@@ -233,16 +141,17 @@ class LiveRegistry:
     Thread-safe throughout: direct instruments are updated from the event
     loop and from engine worker threads; :meth:`ingest` is called from the
     telemetry sink (worker thread); :meth:`render_prometheus` /
-    :meth:`snapshot` from HTTP handlers.
+    :meth:`snapshot` from HTTP handlers.  The children are the
+    :mod:`repro.obs.metrics` instruments, sharing this registry's lock.
     """
 
-    def __init__(self, max_sources: int = MAX_SOURCES) -> None:
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.dirty = False
         self._metrics: Dict[str, _LiveMetric] = {}
         #: Last cumulative snapshot seen per (source tag, instrument name),
-        #: for delta folding.  Ordered dict semantics via insertion order.
+        #: for delta folding, least recently flushed source first.
         self._sources: Dict[object, Dict[str, dict]] = {}
-        self._max_sources = max(1, int(max_sources))
         self.ingested_events = 0
 
     # -- family / child management ----------------------------------------
@@ -250,11 +159,11 @@ class LiveRegistry:
     def _family(self, raw: str, kind: str, help_text: Optional[str],
                 bounds: Optional[Sequence[float]] = None) -> _LiveMetric:
         name = metric_name(raw)
-        with self._lock:
+        with self.lock:
             family = self._metrics.get(name)
             if family is None:
                 family = _LiveMetric(
-                    name, kind, help_text or f"repro metric {raw}", bounds
+                    name, raw, kind, help_text or f"repro metric {raw}", bounds
                 )
                 self._metrics[name] = family
             elif family.kind != kind:
@@ -269,26 +178,22 @@ class LiveRegistry:
             if not _LABEL_NAME_RE.match(label):
                 raise ValueError(f"invalid label name {label!r}")
         key = _label_key(labels)
-        with self._lock:
+        with self.lock:
             child = family.children.get(key)
             if child is None:
-                if family.kind == "counter":
-                    child = LiveCounter(key, self._lock)
-                elif family.kind == "gauge":
-                    child = LiveGauge(key, self._lock)
-                else:
-                    child = LiveHistogram(key, family.bounds, self._lock)
+                args = (family.bounds,) if family.kind == "histogram" else ()
+                child = INSTRUMENTS[family.kind](family.name, *args, self, key)
                 family.children[key] = child
             return child
 
-    def counter(self, name: str, help: Optional[str] = None, **labels) -> LiveCounter:
+    def counter(self, name: str, help: Optional[str] = None, **labels) -> Counter:
         return self._child(self._family(name, "counter", help), labels)
 
-    def gauge(self, name: str, help: Optional[str] = None, **labels) -> LiveGauge:
+    def gauge(self, name: str, help: Optional[str] = None, **labels) -> Gauge:
         return self._child(self._family(name, "gauge", help), labels)
 
     def histogram(self, name: str, bounds: Sequence[float],
-                  help: Optional[str] = None, **labels) -> LiveHistogram:
+                  help: Optional[str] = None, **labels) -> Histogram:
         family = self._family(name, "histogram", help, bounds)
         if family.bounds is None:  # registered earlier without bounds
             family.bounds = tuple(float(b) for b in bounds)
@@ -316,14 +221,11 @@ class LiveRegistry:
             kind = source.split("[", 1)[0]
             if kind:
                 labels["kind"] = kind
-        previous = self._sources.get(source)
-        if previous is None:
-            previous = {}
-            with self._lock:
-                self._sources[source] = previous
-                while len(self._sources) > self._max_sources:
-                    oldest = next(iter(self._sources))
-                    del self._sources[oldest]
+        with self.lock:
+            previous = self._sources.pop(source, None) or {}
+            self._sources[source] = previous
+            while len(self._sources) > MAX_SOURCES:
+                del self._sources[next(iter(self._sources))]
         for name, snap in snapshots.items():
             if not isinstance(snap, dict):
                 continue
@@ -344,45 +246,55 @@ class LiveRegistry:
             value = float(snap.get("value", 0.0))
             prior = float(last.get("value", 0.0)) if last else 0.0
             delta = value - prior if value >= prior else value  # reset
-            if delta:
-                self.counter(name, **labels).inc(delta)
+            self.counter(name, **labels).fold({"value": delta})
         elif kind == "gauge":
-            value = snap.get("value")
-            if value is not None:
-                self.gauge(name, **labels).set(float(value))
+            self.gauge(name, **labels).fold(snap)
         elif kind == "histogram":
-            bounds = snap["bounds"]
+            child = self.histogram(name, snap["bounds"], **labels)
             counts = [int(c) for c in snap["counts"]]
             count = int(snap.get("count", sum(counts)))
             total = float(snap.get("sum", 0.0))
             if last and int(last.get("count", 0)) <= count and \
-                    list(last.get("bounds", bounds)) == list(bounds):
-                # Cumulative re-flush from the same source: fold the delta.
+                    list(last.get("bounds", snap["bounds"])) == list(snap["bounds"]):
+                # Cumulative re-flush from the same source: fold the delta
+                # unless a bucket shrank (mixed reset: fold the snapshot).
                 lcounts = [int(c) for c in last["counts"]]
-                counts = [a - b for a, b in zip(counts, lcounts)]
-                count -= int(last.get("count", 0))
-                total -= float(last.get("sum", 0.0))
-                if any(c < 0 for c in counts):
-                    # Mixed reset: fall back to folding the full snapshot.
-                    counts = [int(c) for c in snap["counts"]]
-                    count = int(snap.get("count", sum(counts)))
-                    total = float(snap.get("sum", 0.0))
-            if count:
-                self.histogram(name, bounds, **labels).add_counts(
-                    bounds, counts, count, total
-                )
+                deltas = [a - b for a, b in zip(counts, lcounts)]
+                if all(c >= 0 for c in deltas):
+                    counts = deltas
+                    count -= int(last.get("count", 0))
+                    total -= float(last.get("sum", 0.0))
+            # min/max of a cumulative snapshot still bound everything seen.
+            child.fold(dict(snap, counts=counts, count=count, sum=total))
 
     # -- scrape surfaces ---------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """JSON-ready snapshot of every family and child (``/v1/stats``)."""
-        with self._lock:
+    def _families(self) -> List[Tuple[_LiveMetric, list]]:
+        with self.lock:
             families = [
                 (family, list(family.children.items()))
                 for family in self._metrics.values()
             ]
+        return sorted(families, key=lambda f: f[0].name)
+
+    def totals(self) -> Dict[str, dict]:
+        """Every family folded across its label sets, by instrument name.
+
+        The run-wide figures ``repro stats`` reports for a trace: ingest
+        the trace's events, then read the totals.
+        """
+        merged = MetricsRegistry()
+        for family, children in self._families():
+            args = (family.bounds,) if family.kind == "histogram" else ()
+            target = getattr(merged, family.kind)(family.raw, *args)
+            for _key, child in children:
+                target.fold(child.snapshot())
+        return merged.snapshot()
+
+    def snapshot(self) -> dict:
+        """JSON-ready snapshot of every family and child (``/v1/stats``)."""
         out: Dict[str, dict] = {}
-        for family, children in sorted(families, key=lambda f: f[0].name):
+        for family, children in self._families():
             series = []
             for key, child in sorted(children, key=lambda c: c[0]):
                 row = child.snapshot()
@@ -397,13 +309,8 @@ class LiveRegistry:
 
     def render_prometheus(self) -> str:
         """The registry in text exposition format v0.0.4."""
-        with self._lock:
-            families = [
-                (family, list(family.children.items()))
-                for family in self._metrics.values()
-            ]
         lines: List[str] = []
-        for family, children in sorted(families, key=lambda f: f[0].name):
+        for family, children in self._families():
             if not children:
                 continue
             name = family.name
@@ -499,8 +406,8 @@ def validate_exposition(text: str) -> List[str]:
     problems: List[str] = []
     types: Dict[str, str] = {}
     # (base name, labelset-minus-le) -> list of (le, cumulative count)
-    buckets: Dict[Tuple[str, _LabelItems], List[Tuple[float, float]]] = {}
-    counts: Dict[Tuple[str, _LabelItems], float] = {}
+    buckets: Dict[Tuple[str, Labels], List[Tuple[float, float]]] = {}
+    counts: Dict[Tuple[str, Labels], float] = {}
 
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:

@@ -92,6 +92,8 @@ REQUIRED: Dict[str, Dict[str, tuple]] = {
     "verify.violation": {"stage": _STR, "policy": _STR, "codes": _LIST},
     "verify.repair": {"stage": _STR, "moved": _NUM, "ok": _BOOL},
     "verify.degrade": {"stage": _STR, "fallback": _STR},
+    # No longer emitted (the experiment.seed span remains); kept so that
+    # older traces still validate.
     "experiment.seed": {"seconds": _NUM, "seed": _NUM},
     "fuzz.begin": {"cases": _NUM, "oracles": _LIST, "seed": _NUM},
     "fuzz.failure": {"oracle": _STR, "case": _STR, "problems": _LIST},

@@ -1,18 +1,17 @@
 """The ``repro stats`` report: from a raw trace to where-the-time-went.
 
 :func:`stats_summary` distills an event stream into one JSON-ready dict
-(span aggregates, SA acceptance trajectory, cache and job figures, merged
-metric histograms); :func:`render_stats` turns that dict into the human
+(span aggregates, SA acceptance trajectory, cache and job figures, folded
+metrics); :func:`render_stats` turns that dict into the human
 report.  Both operate on already-loaded events so the CLI, tests and the
 bench writers share one code path.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from .metrics import merge_histograms
+from .live import LiveRegistry
 from .trace import SpanTree, build_span_tree
 
 
@@ -90,49 +89,17 @@ def _acceptance_curve(events: List[dict], max_points: int = 20) -> List[dict]:
     return curve
 
 
-def _merged_metrics(events: List[dict]) -> Dict[str, dict]:
-    """Merge per-job ``metrics`` snapshots into run-wide figures.
-
-    A worker may flush several times; only its *last* snapshot per
-    attribution tag counts (snapshots are cumulative), keyed by the
-    ``job`` tag the engine stamps on ingested events.
-    """
-    last_per_tag: "OrderedDict[object, dict]" = OrderedDict()
+def _folded_metrics(events: List[dict]) -> Dict[str, dict]:
+    """Run-wide metric figures: the trace's ``metrics`` events folded
+    through the live aggregate (:meth:`LiveRegistry.ingest`), summed over
+    label sets, each histogram with its mean."""
+    registry = LiveRegistry()
     for event in events:
-        if event.get("event") == "metrics" and isinstance(event.get("metrics"), dict):
-            last_per_tag[event.get("job")] = event["metrics"]
-    merged: Dict[str, dict] = {}
-    names = sorted({name for snap in last_per_tag.values() for name in snap})
-    for name in names:
-        snaps = [snap[name] for snap in last_per_tag.values() if name in snap]
-        kinds = {s.get("kind") for s in snaps}
-        if kinds == {"counter"}:
-            merged[name] = {
-                "kind": "counter",
-                "value": sum(s.get("value", 0) for s in snaps),
-            }
-        elif kinds == {"histogram"}:
-            try:
-                combined = merge_histograms(snaps)
-            except (ValueError, KeyError):
-                combined = None
-            if combined is not None:
-                combined["mean"] = (
-                    round(combined["sum"] / combined["count"], 6)
-                    if combined["count"]
-                    else None
-                )
-                merged[name] = combined
-        elif kinds == {"gauge"}:
-            values = [s.get("value") for s in snaps if s.get("value") is not None]
-            merged[name] = {
-                "kind": "gauge",
-                "value": values[-1] if values else None,
-                "min": min((s["min"] for s in snaps if s.get("min") is not None),
-                           default=None),
-                "max": max((s["max"] for s in snaps if s.get("max") is not None),
-                           default=None),
-            }
+        registry.ingest(event)
+    merged = registry.totals()
+    for snap in merged.values():
+        if snap["kind"] == "histogram":
+            snap["mean"] = round(snap["sum"] / snap["count"], 6) if snap["count"] else None
     return merged
 
 
@@ -222,7 +189,7 @@ def stats_summary(events: Iterable[dict]) -> dict:
             else None,
             "resyncs": sum(int(e.get("resyncs", 0)) for e in kernel),
         },
-        "metrics": _merged_metrics(events),
+        "metrics": _folded_metrics(events),
     }
     return summary
 

@@ -135,7 +135,7 @@ class ResultCache:
         get_telemetry().emit(
             "cache.invalid", job=spec.label(), kind=spec.kind, reason=reason
         )
-        get_telemetry().count("cache.invalid")
+        get_telemetry().metrics.counter("cache.invalid").inc()
         return MISS
 
     def invalidate(self, spec: JobSpec) -> None:
@@ -243,7 +243,7 @@ class ResultCache:
                 get_telemetry().emit(
                     "cache.evict", kind=entry.parent.parent.name, bytes=int(size)
                 )
-                get_telemetry().count("cache.evicted")
+                get_telemetry().metrics.counter("cache.evicted").inc()
         self._approx_bytes = total
         return removed
 

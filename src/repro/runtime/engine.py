@@ -223,7 +223,7 @@ class JobEngine:
                 max_workers=self.jobs, initializer=_warm_worker
             )
             self.telemetry.emit("engine.pool_start", workers=self.jobs)
-            self.telemetry.count("engine.pool_starts")
+            self.telemetry.metrics.counter("engine.pool_starts").inc()
         return self._pool
 
     def _release_pool(self, pool: ProcessPoolExecutor, broken: bool) -> None:
@@ -299,13 +299,11 @@ class JobEngine:
                             outcomes[index] = JobOutcome(
                                 spec=spec, value=value, cached=True
                             )
-                            telemetry.count("cache.hits")
                             metrics.counter("cache.hits").inc()
                             telemetry.emit(
                                 "job.cached", job=spec.label(), kind=spec.kind
                             )
                             continue
-                        telemetry.count("cache.misses")
                         metrics.counter("cache.misses").inc()
                     outcome = self._journal_lookup(spec)
                     if outcome is not None:
@@ -367,8 +365,8 @@ class JobEngine:
                 if self.cache is not None and not outcome.cached:
                     with using_telemetry(telemetry):
                         self.cache.put(outcome.spec, outcome.value)
-            telemetry.count("jobs.total", len(specs))
-            telemetry.count("jobs.failed", failures)
+            metrics.counter("jobs.total").inc(len(specs))
+            metrics.counter("jobs.failed").inc(failures)
             metrics.flush()
             telemetry.emit(
                 "engine.end",
@@ -415,7 +413,6 @@ class JobEngine:
                 spec.digest(), invalid, error_class="verification"
             )
             return None
-        self.telemetry.count("journal.hits")
         self.telemetry.metrics.counter("journal.hits").inc()
         self.telemetry.emit("job.journal", job=spec.label(), kind=spec.kind)
         return JobOutcome(
@@ -442,7 +439,7 @@ class JobEngine:
         report = check_job_value(spec.kind, value)
         if report.ok:
             return None
-        self.telemetry.count("jobs.invalid")
+        self.telemetry.metrics.counter("jobs.invalid").inc()
         self.telemetry.emit(
             "job.invalid",
             job=spec.label(),
@@ -494,7 +491,6 @@ class JobEngine:
                 attempts = round_ + 1
                 if round_:
                     time.sleep(self.backoff * (2 ** (round_ - 1)))
-                    telemetry.count("jobs.retried")
                     telemetry.metrics.counter("engine.retries").inc()
                     if self.journal is not None:
                         self.journal.record_retried(spec.digest(), attempt=round_ + 1)
@@ -582,7 +578,6 @@ class JobEngine:
                     # when failures are collected: the final round's
                     # failures are terminal, never retried.
                     time.sleep(self.backoff * (2 ** (round_ - 1)))
-                    telemetry.count("jobs.retried", len(remaining))
                     metrics.counter("engine.retries").inc(len(remaining))
                     if self.journal is not None:
                         for i in remaining:
@@ -629,7 +624,7 @@ class JobEngine:
                                 error_class="timeout",
                                 attempts=round_ + 1,
                             )
-                            telemetry.count("jobs.timeout")
+                            metrics.counter("jobs.timeout").inc()
                             telemetry.emit(
                                 "job.timeout", job=spec.label(), kind=spec.kind,
                                 timeout=self.timeout,
@@ -723,7 +718,6 @@ class JobEngine:
                     if handle is not None:
                         handle.close(status="degraded")
                 unresolved = [i for i in indexes if outcomes[i] is None]
-                telemetry.count("engine.degraded")
                 metrics.counter("engine.worker_restarts").inc()
                 telemetry.emit(
                     "engine.degraded",

@@ -173,7 +173,7 @@ class JobJournal:
                     # Torn tail: the crash interrupted the final append.
                     self.diagnostics["torn_tail"] += 1
                     self._bytes -= len(line.encode("utf-8")) + 1
-                    get_telemetry().count("journal.torn_tail")
+                    get_telemetry().metrics.counter("journal.torn_tail").inc()
                     break
                 raise JournalCorruptionError(
                     f"journal {self.path} line {index + 1} is corrupt "
@@ -393,7 +393,7 @@ class JobJournal:
             bytes=self._bytes,
             reclaimed=max(0, before - self._bytes),
         )
-        get_telemetry().count("journal.compactions")
+        get_telemetry().metrics.counter("journal.compactions").inc()
         return len(lines)
 
     def compact(self) -> int:

@@ -1,10 +1,12 @@
-"""Telemetry: counters, timers and a JSONL event sink.
+"""Telemetry: an event stream, its metrics registry and a JSONL sink.
 
 The engine, the SA annealer and the experiment flow all talk to one
 :class:`Telemetry` object.  Events are plain dicts; a sink (usually
 :class:`JsonlSink`) receives each event as it is emitted, and the object
-also keeps an in-memory buffer plus monotonic counters so tests and the
-CLI summary can interrogate a run without parsing the trace file.
+also keeps an in-memory buffer so tests can interrogate a run without
+parsing the trace file.  Counts live in the telemetry's
+:class:`~repro.obs.metrics.MetricsRegistry` (``telemetry.metrics``), the
+one counter store, whose snapshots ride the trace as ``metrics`` events.
 
 A context-local *active* telemetry makes instrumentation non-invasive:
 deep code (the annealer's temperature loop) calls ``get_telemetry()``,
@@ -18,10 +20,8 @@ a single process.
 The higher-level observability layer (:mod:`repro.obs`) builds on the
 primitives kept here: the ambient *span* context variable (every emitted
 event is stamped with the id of the enclosing span, see
-:mod:`repro.obs.spans`), the ``epoch`` wall-clock anchor that lets the
-engine rebase worker-relative timestamps onto the parent timeline, and the
-per-telemetry :class:`~repro.obs.metrics.MetricsRegistry` reachable as
-``telemetry.metrics``.
+:mod:`repro.obs.spans`) and the ``epoch`` wall-clock anchor that lets the
+engine rebase worker-relative timestamps onto the parent timeline.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 #: The ambient span id (see :mod:`repro.obs.spans`).  Lives here, not in
 #: ``repro.obs``, so that :meth:`Telemetry.emit` can stamp events without
@@ -46,7 +46,7 @@ def current_span_id() -> Optional[str]:
 
 
 class Telemetry:
-    """Event buffer + counters, optionally forwarding to a sink."""
+    """Event buffer + metrics registry, optionally forwarding to a sink."""
 
     enabled = True
 
@@ -59,7 +59,6 @@ class Telemetry:
         #: (``ingest(offset=child.epoch - parent.epoch)``).
         self.epoch = time.time()
         self.events: List[dict] = []
-        self.counters: Dict[str, float] = {}
         self._metrics = None
 
     # -- events ------------------------------------------------------------
@@ -104,28 +103,6 @@ class Telemetry:
         with self._lock:
             return [event for event in self.events if event.get("event") == name]
 
-    # -- counters ----------------------------------------------------------
-
-    def count(self, name: str, amount: float = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
-
-    @contextmanager
-    def timer(self, name: str, **fields):
-        """Time a block; emits ``<name>`` with ``seconds`` and accumulates
-        ``<name>.seconds`` as a counter."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.count(f"{name}.seconds", elapsed)
-            self.emit(name, seconds=round(elapsed, 6), **fields)
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self.counters)
-
     # -- metrics registry --------------------------------------------------
 
     @property
@@ -139,7 +116,9 @@ class Telemetry:
         if self._metrics is None:
             from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-            self._metrics = MetricsRegistry(self) if self.enabled else NULL_REGISTRY
+            with self._lock:  # one registry even when threads race here
+                if self._metrics is None:
+                    self._metrics = MetricsRegistry(self) if self.enabled else NULL_REGISTRY
         return self._metrics
 
 
@@ -154,11 +133,13 @@ class _NullTelemetry(Telemetry):
     def ingest(self, events, offset: float = 0.0, **extra) -> None:
         pass
 
-    def count(self, name: str, amount: float = 1) -> None:
-        pass
-
 
 NULL = _NullTelemetry()
+
+#: :class:`JsonlSink` writes its buffer every this many events ...
+FLUSH_EVERY = 64
+#: ... or on the first event this many seconds after its last write.
+FLUSH_SECONDS = 1.0
 
 
 class JsonlSink:
@@ -170,13 +151,11 @@ class JsonlSink:
     ``span.multiple-roots`` check and double every stats counter).
 
     Writes are buffered: lines accumulate in memory and hit the disk every
-    ``flush_every`` events, on :meth:`flush`, and on :meth:`close` — one
-    ``write`` syscall per batch instead of one per event.  ``flush_every``
-    defaults to the ``REPRO_TRACE_FLUSH_EVERY`` environment variable (64
-    when unset), and a wall-clock deadline (``flush_seconds``, default 1 s)
-    bounds how stale the file can be regardless of batch fill: a slow event
-    stream — one ``sa.step`` per temperature tier during a long anneal —
-    still reaches a ``tail -f`` within a second of the *next* event instead
+    :data:`FLUSH_EVERY` events, on :meth:`flush`, and on :meth:`close` — one
+    ``write`` syscall per batch instead of one per event.  A wall-clock
+    deadline (:data:`FLUSH_SECONDS`) bounds how stale the file can be
+    regardless of batch fill: a slow event stream — one ``sa.step`` per
+    temperature tier during a long anneal — still reaches a ``tail -f`` within a second of the *next* event instead
     of lagging up to 63 events behind.  The deadline is checked on event
     arrival (no timer thread); a sink that stops receiving events entirely
     flushes on :meth:`flush`/:meth:`close` as before.  The underlying
@@ -184,16 +163,8 @@ class JsonlSink:
     finalizer flushes any tail events should an exception path skip it.
     """
 
-    def __init__(self, path, flush_every: Optional[int] = None,
-                 flush_seconds: float = 1.0) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        if flush_every is None:
-            try:
-                flush_every = int(os.environ.get("REPRO_TRACE_FLUSH_EVERY", 64))
-            except ValueError:
-                flush_every = 64
-        self.flush_every = max(1, int(flush_every))
-        self.flush_seconds = float(flush_seconds)
         self._lock = threading.Lock()
         self._buffer: List[str] = []
         self._handle = None
@@ -209,9 +180,8 @@ class JsonlSink:
             if self._closed:
                 raise ValueError(f"JsonlSink({self.path}) is closed")
             self._buffer.append(line)
-            if len(self._buffer) >= self.flush_every or (
-                self.flush_seconds > 0
-                and time.monotonic() - self._last_flush >= self.flush_seconds
+            if len(self._buffer) >= FLUSH_EVERY or (
+                time.monotonic() - self._last_flush >= FLUSH_SECONDS
             ):
                 self._flush_locked()
 

@@ -25,7 +25,8 @@ A stdlib-only asyncio HTTP/1.1 server in front of the
   process-wide :class:`~repro.obs.live.LiveRegistry`; ``GET /metrics``
   scrapes it in Prometheus text exposition format and ``GET /v1/stats``
   returns the same aggregate as JSON, including per-endpoint request
-  latency histograms, queue/in-flight gauges and dedup/429 counters.
+  latency histograms, queue/in-flight gauges and the lifecycle counters
+  (requests, dedup, 429s, ...) that ``/healthz`` also reports.
 
 Endpoints (see ``docs/serving.md`` for the full wire reference)::
 
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..obs.live import LIVE_SCHEMA, REQUEST_SECONDS_BUCKETS, LiveRegistry
+from ..obs.metrics import Counter
 from ..obs.schema import SCHEMA_VERSION
 from ..runtime import JobEngine, JobJournal, JsonlSink, ResultCache, Telemetry
 from ..runtime.journal import spec_from_record
@@ -65,6 +67,13 @@ from .wire import (
 )
 
 _STOP = object()
+
+#: Lifecycle counters: ``/healthz`` ``counters`` keys, each the
+#: ``repro_serve_<key>_total`` series of ``/metrics``.
+LIFECYCLE = (
+    "requests", "submitted", "deduped", "completed", "failed", "rejected",
+    "batches", "executed",
+)
 
 
 @dataclass
@@ -109,18 +118,14 @@ class ServeApp:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.registry = JobRegistry()
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "submitted": 0,
-            "deduped": 0,
-            "completed": 0,
-            "failed": 0,
-            "rejected": 0,
-            "batches": 0,
-            "executed": 0,
-        }
         self.started_at = time.monotonic()
         self.live = LiveRegistry()
+        self.lifecycle: Dict[str, Counter] = {
+            key: self.live.counter(
+                f"repro_serve_{key}_total", help=f"serve lifecycle counter: {key}"
+            )
+            for key in LIFECYCLE
+        }
         self.draining = False
         self._signal: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -307,7 +312,7 @@ class ServeApp:
             self.journal.close()
         self.telemetry.emit(
             "serve.stop",
-            requests=self.counters["requests"],
+            requests=int(self.lifecycle["requests"].value),
             seconds=round(time.monotonic() - self.started_at, 6),
         )
         if self._sink is not None:
@@ -369,8 +374,8 @@ class ServeApp:
             for entry in batch:
                 entry.status = RUNNING
                 entry.started = now
-            self.counters["batches"] += 1
-            self.counters["executed"] += len(batch)
+            self.lifecycle["batches"].inc()
+            self.lifecycle["executed"].inc(len(batch))
             self.telemetry.emit(
                 "serve.batch", size=len(batch), waited=round(waited, 6)
             )
@@ -391,7 +396,7 @@ class ServeApp:
 
     def _settle(self, record: JobRecord, count: bool = True) -> None:
         if count:
-            self.counters["completed" if record.status == DONE else "failed"] += 1
+            self.lifecycle["completed" if record.status == DONE else "failed"].inc()
         for dropped in self.registry.settle(record):
             self.bus.labels.pop(dropped.spec.label(), None)
 
@@ -414,7 +419,7 @@ class ServeApp:
                 except ConnectionError:  # pragma: no cover - client vanished
                     break
                 elapsed = time.perf_counter() - started
-                self.counters["requests"] += 1
+                self.lifecycle["requests"].inc()
                 self.live.histogram(
                     "repro_serve_request_seconds", REQUEST_SECONDS_BUCKETS,
                     help="HTTP request latency by endpoint",
@@ -534,10 +539,10 @@ class ServeApp:
         if deduped:
             if not record.settled:
                 record.submissions += 1
-            self.counters["deduped"] += 1
+            self.lifecycle["deduped"].inc()
         else:
             if self.registry.pending >= self.config.queue_limit:
-                self.counters["rejected"] += 1
+                self.lifecycle["rejected"].inc()
                 self.telemetry.emit(
                     "serve.reject", reason="queue-full",
                     pending=self.registry.pending,
@@ -559,7 +564,7 @@ class ServeApp:
                 # batch dispatch still re-enqueues this digest on restart.
                 self.journal.record_submitted(spec)
             self._queue.put_nowait(record)
-        self.counters["submitted"] += 1
+        self.lifecycle["submitted"].inc()
         self.telemetry.emit(
             "serve.submit", job=spec.label(), kind=spec.kind,
             dedup=deduped, wait=request.wait,
@@ -638,19 +643,12 @@ class ServeApp:
     def _sync_live(self) -> None:
         """Refresh the scrape-time series in the live registry.
 
-        Admission/settle counters and derived gauges are maintained as
-        plain ints on the hot path and mirrored here once per scrape —
-        the request path pays nothing for them.  The counter children are
-        overwritten (not incremented): both sides are monotonic totals of
-        the same process, so assignment preserves counter semantics.
+        The derived gauges are computed here once per scrape, and the
+        result cache's own operation totals are copied in: both sides are
+        monotonic totals of the same process, so assignment preserves
+        counter semantics.
         """
         live = self.live
-        for key, value in self.counters.items():
-            child = live.counter(
-                f"repro_serve_{key}_total",
-                help=f"serve lifecycle counter: {key}",
-            )
-            child.value = float(value)
         pending = self.registry.pending
         running = self.registry.running
         workers = max(1, self.config.workers)
@@ -698,21 +696,23 @@ class ServeApp:
         }
 
     def health(self) -> dict:
-        snapshot = self.telemetry.snapshot() if self.telemetry else {}
+        engine = self.telemetry.metrics.counters() if self.telemetry else {}
         return {
             "schema": WIRE_SCHEMA_VERSION,
             "status": "draining" if self.draining else "ok",
             "uptime": round(time.monotonic() - self.started_at, 3),
             "workers": self.config.workers,
-            "counters": dict(self.counters),
+            "counters": {
+                key: int(counter.value) for key, counter in self.lifecycle.items()
+            },
             "queue": {
                 "pending": self.registry.pending,
                 "limit": self.config.queue_limit,
             },
             "cache": self.cache.stats if self.cache is not None else None,
             "engine": {
-                key: snapshot[key]
-                for key in sorted(snapshot)
+                key: int(value)
+                for key, value in sorted(engine.items())
                 if key.startswith(("jobs.", "cache.", "engine."))
             },
         }

@@ -97,7 +97,7 @@ class TestBoundedCache:
         events = [e for e in telemetry.events if e["event"] == "cache.evict"]
         assert len(events) == 1
         assert events[0]["kind"] == "cc_echo"
-        assert telemetry.snapshot()["cache.evicted"] == 1
+        assert telemetry.metrics.counters()["cache.evicted"] == 1
 
     def test_max_bytes_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")

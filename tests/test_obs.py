@@ -13,6 +13,8 @@ committed ``results/smoke_trace.jsonl``).
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -25,7 +27,6 @@ from repro.obs import (
     check_spans,
     load_trace,
     make_profiler,
-    merge_histograms,
     open_span,
     span,
     stats_summary,
@@ -41,7 +42,15 @@ from repro.obs.bench import (
     write_bench_record,
 )
 from repro.obs.profile import merge_profile_events, profile_to_event
-from repro.runtime import JobEngine, JobSpec, JsonlSink, Telemetry, using_telemetry
+from repro.runtime import (
+    JobEngine,
+    JobSpec,
+    JsonlSink,
+    Telemetry,
+    get_telemetry,
+    register_job_type,
+    using_telemetry,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE_TRACE = REPO_ROOT / "results" / "smoke_trace.jsonl"
@@ -181,7 +190,7 @@ class TestSpanPrimitives:
 class TestJsonlSink:
     def test_buffered_until_threshold(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(path, flush_every=64)
+        sink = JsonlSink(path)
         for i in range(10):
             sink({"event": "x", "t": float(i)})
         # below the threshold nothing has hit the disk yet
@@ -192,7 +201,7 @@ class TestJsonlSink:
 
     def test_close_flushes_tail(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with JsonlSink(path, flush_every=1000) as sink:
+        with JsonlSink(path) as sink:
             sink({"event": "x", "t": 0.0})
         assert len(path.read_text().splitlines()) == 1
         with pytest.raises(ValueError):
@@ -232,15 +241,8 @@ class TestJsonlSink:
 
 class TestMetrics:
     def test_histograms_flow_into_trace(self, parallel_trace):
-        metrics_events = [e for e in parallel_trace if e["event"] == "metrics"]
-        assert metrics_events
-        merged = merge_histograms(
-            [
-                e["metrics"]["sa.delta"]
-                for e in metrics_events
-                if "sa.delta" in e.get("metrics", {})
-            ]
-        )
+        assert any(e["event"] == "metrics" for e in parallel_trace)
+        merged = stats_summary(parallel_trace)["metrics"]["sa.delta"]
         assert merged["count"] > 0
         assert len(merged["counts"]) == len(merged["bounds"]) + 1
 
@@ -254,6 +256,95 @@ class TestMetrics:
         assert len(events) == 1
         assert events[0]["version"] == 1
         assert events[0]["metrics"]["cache.hits"]["value"] == 1
+
+    def test_concurrent_updates_are_neither_lost_nor_torn(self):
+        # The daemon's /healthz reads the engine's registry from the event
+        # loop while the dispatcher thread writes to it.
+        registry = MetricsRegistry(Telemetry())
+        counter = registry.counter("hits")
+        histogram = registry.histogram("h", (0.5,))
+        torn = []
+
+        def write():
+            for __ in range(4000):
+                counter.inc()
+                histogram.record(1.0)
+                histogram.fold({"bounds": [0.5], "counts": [0, 1], "count": 1})
+
+        def read():
+            while any(writer.is_alive() for writer in writers):
+                snap = registry.snapshot()["h"]
+                if sum(snap["counts"]) != snap["count"]:
+                    torn.append(snap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=write) for __ in range(8)]
+            reader = threading.Thread(target=read)
+            for thread in writers + [reader]:
+                thread.start()
+            for thread in writers + [reader]:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not torn
+        assert counter.value == 32000
+        assert histogram.count == 64000
+
+
+@register_job_type("obs_counting")
+def _counting_job(params, seed):
+    """Count once by hand, then run a checkpointed anneal (which counts
+    ``checkpoint.saves`` itself)."""
+    from repro.assign import DFAAssigner, assign_design
+    from repro.circuits import CircuitSpec, build_design
+    from repro.exchange import FingerPadExchanger, SAParams
+    from repro.exchange.checkpoint import SACheckpointer
+
+    get_telemetry().metrics.counter("demo.count").inc()
+    design = build_design(CircuitSpec(name="obs-count", finger_count=32), seed=0)
+    exchanger = FingerPadExchanger(
+        design,
+        params=SAParams(initial_temp=0.05, final_temp=0.01, cooling=0.8,
+                        moves_per_temp=40),
+        polish_passes=0,
+        checkpoint=SACheckpointer(params["checkpoint"], interval=25, durable=False),
+    )
+    result = exchanger.run(assign_design(DFAAssigner(), design), seed=seed)
+    return {"proposed": result.stats.proposed}
+
+
+class TestMetricsAcrossProcesses:
+    def test_pool_workers_keep_every_count(self, tmp_path, capsys):
+        # A count made inside a job must reach the trace whether the job
+        # ran in-process (jobs=1) or in a pool worker (jobs=2).
+        folded = {}
+        for jobs in (1, 2):
+            trace = tmp_path / f"jobs{jobs}.jsonl"
+            specs = [
+                JobSpec("obs_counting",
+                        {"checkpoint": str(tmp_path / f"{jobs}-{seed}.ckpt")},
+                        seed=seed)
+                for seed in range(4)
+            ]
+            with JsonlSink(trace) as sink:
+                engine = JobEngine(jobs=jobs, telemetry=Telemetry(sink=sink))
+                assert all(outcome.ok for outcome in engine.run(specs))
+            assert main(["stats", str(trace), "--format", "json"]) == 0
+            metrics = json.loads(capsys.readouterr().out)["metrics"]
+            # Only pool runs have a queue to wait in.
+            metrics.pop("engine.queue_wait", None)
+            folded[jobs] = {
+                name: snap["value"] if snap["kind"] == "counter" else snap["count"]
+                for name, snap in metrics.items()
+                if snap["kind"] != "gauge"
+            }
+        assert folded[1] == folded[2]
+        assert folded[1]["demo.count"] == 4
+        assert folded[1]["checkpoint.saves"] > 0
+        assert folded[1]["sa.delta"] > 0
 
 
 class TestChromeExport:

@@ -6,8 +6,7 @@ the delta-folding ingest of cumulative ``metrics`` snapshots), the
 promtool-style :func:`validate_exposition` grammar checker (both on our
 own output and on hand-written bad documents), and the daemon's
 ``/metrics`` + ``/v1/stats`` endpoints against a real socket.  The
-JSONL sink's configurable flush cadence (satellite of the same PR)
-rides along at the end.
+JSONL sink's flush cadence rides along at the end.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from repro.obs.live import (
     metric_name,
     validate_exposition,
 )
+from repro.obs import live
 from repro.obs.live import _parse_labels
-from repro.runtime import JsonlSink, register_job_type
+from repro.runtime import JsonlSink, register_job_type, telemetry
 from repro.serve import ServeClient, ServeConfig, ServeHandle
 from repro.serve.daemon import _endpoint
 
@@ -244,8 +244,9 @@ def test_ingest_gauge_is_last_write_wins():
     assert registry.gauge("g").value == 1.0
 
 
-def test_ingest_source_eviction_is_bounded():
-    registry = LiveRegistry(max_sources=2)
+def test_ingest_source_eviction_is_bounded(monkeypatch):
+    monkeypatch.setattr(live, "MAX_SOURCES", 2)
+    registry = LiveRegistry()
     for i in range(10):
         registry.ingest(_metrics_event(
             f"job[{i}]", hits={"kind": "counter", "value": 1}
@@ -342,7 +343,7 @@ def test_daemon_request_histogram_separates_endpoints(daemon):
     assert "/healthz" in endpoints
 
 
-# -- JSONL sink flush cadence (same-PR satellite) ---------------------------
+# -- JSONL sink flush cadence ---------------------------------------------
 
 
 def _lines(path):
@@ -351,28 +352,10 @@ def _lines(path):
     return [l for l in path.read_text().splitlines() if l]
 
 
-def test_jsonl_sink_flush_every_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_FLUSH_EVERY", "2")
+def test_jsonl_sink_deadline_flush(tmp_path, monkeypatch):
+    monkeypatch.setattr(telemetry, "FLUSH_SECONDS", 0.05)
     path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(path, flush_seconds=0.0)
-    assert sink.flush_every == 2
-    sink({"event": "one"})
-    assert _lines(path) == []
-    sink({"event": "two"})
-    assert len(_lines(path)) == 2
-    sink.close()
-
-
-def test_jsonl_sink_flush_every_env_garbage_falls_back(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_FLUSH_EVERY", "not-a-number")
-    sink = JsonlSink(tmp_path / "t.jsonl")
-    assert sink.flush_every == 64
-    sink.close()
-
-
-def test_jsonl_sink_deadline_flush(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(path, flush_every=1000, flush_seconds=0.05)
+    sink = JsonlSink(path)
     sink({"event": "one"})
     assert _lines(path) == []
     time.sleep(0.06)

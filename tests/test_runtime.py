@@ -168,7 +168,7 @@ class TestEngineSerial:
         second = JobEngine(jobs=1, cache=ResultCache(tmp_path)).run(specs)
         assert all(outcome.cached for outcome in second)
         assert [o.value for o in second] == [o.value for o in first]
-        assert telemetry.snapshot()["cache.misses"] == 3
+        assert telemetry.metrics.counters()["cache.misses"] == 3
 
     def test_retry_until_success(self, tmp_path):
         marker = tmp_path / "marker"
@@ -220,7 +220,7 @@ class TestEngineParallel:
         assert not outcomes[0].ok and "timed out" in outcomes[0].error
         assert outcomes[1].ok
         assert telemetry.events_named("job.timeout")
-        assert telemetry.snapshot()["jobs.timeout"] == 1
+        assert telemetry.metrics.counters()["jobs.timeout"] == 1
 
     def test_degrades_to_serial_when_worker_dies(self):
         telemetry = Telemetry()
@@ -270,13 +270,6 @@ class TestTelemetry:
         assert sa_events and all("job" in event for event in sa_events)
         assert any(event["event"] == "engine.end" for event in events)
 
-    def test_timer_counter(self):
-        telemetry = Telemetry()
-        with telemetry.timer("stage", stage="x"):
-            pass
-        assert telemetry.snapshot()["stage.seconds"] >= 0
-        assert telemetry.events_named("stage")[0]["stage"] == "x"
-
 
 class TestRunExperiment:
     def test_engine_backed_sweep(self, tmp_path):
@@ -292,7 +285,7 @@ class TestRunExperiment:
             jobs=2, cache=ResultCache(tmp_path), telemetry=telemetry
         )
         run_experiment("echo", {"value": 7}, seeds=[1, 2, 3], engine=engine2)
-        assert telemetry.snapshot()["cache.hits"] == 3
+        assert telemetry.metrics.counters()["cache.hits"] == 3
 
     def test_failure_raises(self, tmp_path):
         from repro.flow import run_experiment
@@ -363,7 +356,7 @@ class TestRetryAccounting:
         assert all(outcome.attempts == 3 for outcome in outcomes)
         # 2 retries per job; the final round's failures are failures, not
         # retries, so 3 rounds must book exactly 2 retries each.
-        assert telemetry.snapshot()["jobs.retried"] == 4
+        assert telemetry.metrics.counters()["engine.retries"] == 4
 
     def test_final_attempt_span_closes_as_error_not_retry(self, tmp_path):
         telemetry = Telemetry()
@@ -426,7 +419,7 @@ class TestWarmEngine:
         finally:
             engine.close()
         assert all(outcome.ok for outcome in first + second)
-        assert telemetry.snapshot()["engine.pool_starts"] == 1
+        assert telemetry.metrics.counters()["engine.pool_starts"] == 1
 
     def test_warm_routes_single_job_through_pool(self):
         # A cold engine runs a lone job serially (no pool spin-up); a warm
@@ -435,7 +428,7 @@ class TestWarmEngine:
         cold_telemetry = Telemetry()
         cold = JobEngine(jobs=2, telemetry=cold_telemetry)
         assert cold.run([JobSpec("echo", {"value": 1}, seed=1)])[0].ok
-        assert "engine.pool_starts" not in cold_telemetry.snapshot()
+        assert "engine.pool_starts" not in cold_telemetry.metrics.counters()
 
         warm_telemetry = Telemetry()
         warm = JobEngine(jobs=2, warm=True, telemetry=warm_telemetry)
@@ -443,7 +436,7 @@ class TestWarmEngine:
             assert warm.run([JobSpec("echo", {"value": 1}, seed=1)])[0].ok
         finally:
             warm.close()
-        assert warm_telemetry.snapshot()["engine.pool_starts"] == 1
+        assert warm_telemetry.metrics.counters()["engine.pool_starts"] == 1
 
     def test_close_releases_and_is_idempotent(self):
         telemetry = Telemetry()
@@ -455,7 +448,7 @@ class TestWarmEngine:
         outcome = engine.run([JobSpec("echo", {"value": 2}, seed=2)])[0]
         engine.close()
         assert outcome.ok
-        assert telemetry.snapshot()["engine.pool_starts"] == 2
+        assert telemetry.metrics.counters()["engine.pool_starts"] == 2
 
     def test_broken_warm_pool_is_discarded_not_reused(self):
         telemetry = Telemetry()
@@ -472,4 +465,4 @@ class TestWarmEngine:
         finally:
             engine.close()
         assert after.ok
-        assert telemetry.snapshot()["engine.pool_starts"] == 2
+        assert telemetry.metrics.counters()["engine.pool_starts"] == 2
