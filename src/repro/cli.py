@@ -16,9 +16,10 @@ Commands
 ``bench run``           execute registered benches into the perf ledger
 ``bench compare``       gate the latest ledger records against a baseline
 
-``table2``/``table3``/``fig6`` accept ``--jobs N`` to fan their independent
-jobs out over worker processes; ``run`` adds the result cache and a JSONL
-telemetry trace on top (see docs/runtime.md).  ``--verify {off,strict,
+``table2``/``table3``/``fig6`` run the workload of that name on the job
+engine with the cache off (``--jobs N`` fans its independent jobs out over
+worker processes); ``run`` adds the result cache and a JSONL telemetry
+trace on top (see docs/runtime.md).  ``--verify {off,strict,
 repair}`` makes the engine re-check every job result (fresh or cached)
 before it is tabulated: ``strict`` fails on an invalid value, ``repair``
 recomputes it (see docs/robustness.md).  ``run --trace out.jsonl`` writes a
@@ -28,15 +29,14 @@ adds per-job profiles to it (see docs/observability.md).
 
 from __future__ import annotations
 
-from .assign import assign_design
 import argparse
 import contextlib
 import os
 import signal as _signal
 import sys
 
-from .assign import DFAAssigner, IFAAssigner, RandomAssigner
-from .flow import compare_assigners, render_table1, render_table2
+from .assign import DFAAssigner, IFAAssigner, RandomAssigner, assign_design
+from .flow import render_table1
 from .routing import MonotonicRouter, max_density_of_design
 
 
@@ -169,12 +169,21 @@ def _run_workload(
                 print(f"FAILED {outcome.spec.label()}: {outcome.error}", file=sys.stderr)
             return 1
         print(workload.render(outcomes))
+        # The whole run: a tempering run is many engine rounds, and the
+        # counters already sum across them.
         counters = telemetry.metrics.counters()
-        end = telemetry.events_named("engine.end")[-1]
+        (run,) = [
+            event
+            for event in telemetry.events_named("span.end")
+            if event["name"] == "run"
+        ]
+        jobs_total, hits, misses = (
+            int(counters.get(name, 0))
+            for name in ("jobs.total", "cache.hits", "cache.misses")
+        )
         summary = (
-            f"done in {end['seconds']:.2f}s: {len(specs)} jobs, "
-            f"{int(counters.get('cache.hits', 0))} cache hit(s), "
-            f"{int(counters.get('cache.misses', 0))} miss(es)"
+            f"done in {run['seconds']:.2f}s: {jobs_total} jobs, "
+            f"{hits} cache hit(s), {misses} miss(es)"
         )
         if trace:
             summary += f"; trace written to {trace}"
@@ -552,54 +561,15 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_table2(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "table2", seed=args.seed, jobs=args.jobs, verify=args.verify
-        )
-    from .circuits import build_table1_designs
-
-    table = compare_assigners(build_table1_designs(), seed=args.seed)
-    print(render_table2(table))
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "table3",
-            seed=args.seed,
-            grid=args.grid,
-            jobs=args.jobs,
-            verify=args.verify,
-        )
-    from .circuits import build_design, table1_circuit
-    from .flow import CoDesignFlow, render_table3
-    from .power import PowerGridConfig
-
-    flow = CoDesignFlow(grid_config=PowerGridConfig(size=args.grid))
-    results = {}
-    for tiers in (1, 4):
-        runs = {}
-        for index in range(1, 6):
-            design = build_design(table1_circuit(index, tier_count=tiers), seed=0)
-            print(f"running {design.name} (psi={tiers})...", file=sys.stderr)
-            runs[design.name] = flow.run(design, seed=args.seed)
-        results[tiers] = runs
-    print(render_table3(results[1], results[4]))
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "fig6", seed=args.seed, jobs=args.jobs, verify=args.verify
-        )
-    from .circuits import run_fig6
-    from .flow import render_fig6
-
-    print(render_fig6(run_fig6(seed=args.seed)))
-    return 0
+def _cmd_paper(args) -> int:
+    """``table2`` / ``table3`` / ``fig6``: the workload on the engine, cache off."""
+    return _run_workload(
+        args.command,
+        seed=args.seed,
+        grid=getattr(args, "grid", None),
+        jobs=args.jobs,
+        verify=args.verify,
+    )
 
 
 def _cmd_fuzz(args) -> int:
@@ -1079,20 +1049,20 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--seed", type=int, default=42)
     p2.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p2)
-    p2.set_defaults(func=_cmd_table2)
+    p2.set_defaults(func=_cmd_paper)
 
     p3 = sub.add_parser("table3", help="run the Table-3 exchange experiment")
     p3.add_argument("--seed", type=int, default=7)
     p3.add_argument("--grid", type=int, default=32, help="power grid size")
     p3.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p3)
-    p3.set_defaults(func=_cmd_table3)
+    p3.set_defaults(func=_cmd_paper)
 
     p6 = sub.add_parser("fig6", help="run the Fig.-6 real-chip comparison")
     p6.add_argument("--seed", type=int, default=2009)
     p6.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p6)
-    p6.set_defaults(func=_cmd_fig6)
+    p6.set_defaults(func=_cmd_paper)
 
     pa = sub.add_parser("assign", help="assign a JSON design")
     pa.add_argument("design")

@@ -2,9 +2,11 @@
 
 The paper's finger/pad exchange (Fig. 14) is a classic SA loop: random
 neighbour move, Metropolis acceptance, geometric cooling.  This module
-provides the schedule and loop; problem specifics (move proposal, apply,
-undo, cost) come in as callables so the engine is reusable and testable in
-isolation.
+provides the schedule and the one move loop, :meth:`AnnealState.advance`,
+which single anneals (:meth:`SimulatedAnnealer.optimize`) and parallel
+tempering segments (:mod:`repro.exchange.tempering`) both run; problem
+specifics (move proposal, apply, undo, cost) come in as callables so the
+engine is reusable and testable in isolation.
 
 Note on acceptance: the paper's pseudocode writes the uphill test as
 ``Random(0,1) > exp(-dC/T)`` which *rejects* with the Boltzmann probability —
@@ -108,51 +110,127 @@ class SAStats:
         return self.accepted / feasible if feasible else 0.0
 
 
-class SimulatedAnnealer:
-    """Schedule-driven annealer over externally managed state.
+#: The integer ``SAStats`` counters a paused anneal carries.
+_COUNTERS = (
+    "proposed", "infeasible", "accepted", "accepted_uphill", "nonfinite_rejected"
+)
+#: Its mid-tier position: moves already made in the current tier and that
+#: tier's proposed/accepted counts (all 0 on a tier boundary).
+_POSITION = ("move_in_step", "step_proposed", "step_accepted")
 
-    The caller owns the state; the annealer drives it through callables:
 
-    ``propose(rng)``
-        Return an opaque move object, or ``None`` when no feasible move was
-        found this attempt.
-    ``apply(move)`` / ``undo(move)``
-        Mutate / revert the state.
-    ``cost()``
-        Current scalar cost of the state.
-    ``snapshot()`` (optional)
-        Capture the state; the best snapshot seen is stored on the stats
-        object as ``best_snapshot``.
+@dataclass
+class AnnealState:
+    """A paused anneal: everything its future depends on but the problem state.
+
+    :meth:`pause` writes it as the checkpoint payload — the one JSON layout
+    of a paused anneal, shared by crash-safe checkpoints
+    (:class:`~repro.exchange.checkpoint.SACheckpointer`) and parallel
+    tempering chains (:mod:`repro.exchange.tempering`) — and
+    :meth:`resume` reads it back.  :meth:`advance` is the Metropolis loop
+    both run on.  Python floats and the Mersenne state (a list of ints)
+    survive ``json`` exactly, so a resumed anneal is bit-identical.
     """
 
-    def __init__(self, params: Optional[SAParams] = None) -> None:
-        self.params = params or SAParams()
+    rng: random.Random
+    stats: SAStats
+    current_cost: float
+    temperature: float
+    best_snapshot: Optional[object] = None
+    move_in_step: int = 0
+    step_proposed: int = 0
+    step_accepted: int = 0
 
-    def optimize(
+    @classmethod
+    def start(
+        cls,
+        cost: Callable[[], float],
+        snapshot: Optional[Callable],
+        seed: Optional[int],
+        temperature: float,
+    ) -> "AnnealState":
+        """A fresh anneal at the problem's current state."""
+        current_cost = cost()
+        if not math.isfinite(current_cost):
+            # There is no way to anneal from a poisoned cost: every delta
+            # would be NaN and Metropolis acceptance would be arbitrary.
+            raise NonFiniteCostError(
+                f"initial annealing cost is non-finite: {current_cost!r}"
+            )
+        return cls(
+            rng=random.Random(seed),
+            stats=SAStats(initial_cost=current_cost, best_cost=current_cost),
+            current_cost=current_cost,
+            temperature=float(temperature),
+            best_snapshot=snapshot() if snapshot else None,
+        )
+
+    @classmethod
+    def resume(
+        cls, payload: dict, restore: Callable[[dict], None], decode: Callable
+    ) -> "AnnealState":
+        """Inverse of :meth:`pause`; *restore* receives the problem state."""
+        # Restore in dependency order: problem state first (so the cost
+        # structures rebuild), then the exact scalar/rng state the anneal
+        # had at the moment of the pause.
+        restore(payload["state"])
+        version, internal, gauss = payload["rng"]
+        rng = random.Random()
+        rng.setstate((version, tuple(internal), gauss))
+        best = payload.get("best")
+        return cls(
+            rng=rng,
+            stats=SAStats(
+                **{key: int(payload[key]) for key in _COUNTERS},
+                initial_cost=payload["initial_cost"],
+                best_cost=payload["best_cost"],
+                cost_trace=list(payload["cost_trace"]),
+            ),
+            current_cost=payload["current_cost"],
+            temperature=payload["temperature"],
+            best_snapshot=decode(best) if best is not None else None,
+            **{key: int(payload[key]) for key in _POSITION},
+        )
+
+    def pause(self, capture: Callable[[], dict], encode: Callable) -> dict:
+        """The JSON payload; *capture* returns the problem state."""
+        stats, best = self.stats, self.best_snapshot
+        version, internal, gauss = self.rng.getstate()
+        return {
+            **{key: getattr(stats, key) for key in _COUNTERS},
+            "initial_cost": stats.initial_cost,
+            "best_cost": stats.best_cost,
+            "cost_trace": list(stats.cost_trace),
+            "current_cost": self.current_cost,
+            "temperature": self.temperature,
+            **{key: getattr(self, key) for key in _POSITION},
+            "rng": [version, list(internal), gauss],
+            "state": capture(),
+            "best": None if best is None else encode(best),
+        }
+
+    def advance(
         self,
+        tiers: int,
+        moves_per_temp: int,
+        cooling: float,
         propose: Callable,
         apply: Callable,
         undo: Callable,
         cost: Callable[[], float],
-        seed: Optional[int] = None,
         snapshot: Optional[Callable] = None,
         checkpoint=None,
-        curve_label: Optional[str] = None,
-    ) -> SAStats:
-        """Run the schedule; optionally checkpointed for crash-safe resume.
+        observer: Optional[Callable] = None,
+    ) -> None:
+        """Run *tiers* temperature tiers of the Metropolis loop.
 
-        *checkpoint* is a bound
-        :class:`~repro.exchange.checkpoint.SACheckpointer`: every
-        ``checkpoint.interval`` proposed moves the full run state (problem
-        state via ``checkpoint.capture``, rng Mersenne state, accumulated
-        temperature, mid-step counters, stats, best-so-far) is atomically
-        persisted.  When a valid checkpoint exists at start, the run
-        resumes from it and replays the exact continuation the
-        uninterrupted run would have produced — move for move, bit for
-        bit.  A completed run clears its checkpoint.
+        The first tier continues from the paused mid-tier position.  After
+        each tier, *observer* (if any) receives the convergence sample
+        ``[proposed, cost, best_cost, acceptance, temperature]`` — the
+        ``sa.curve`` point layout — and the tier's accepted-move count.
+        *checkpoint* (a bound ``SACheckpointer``) gets the paused payload
+        every ``checkpoint.interval`` proposed moves.
         """
-        import time
-
         from ..obs.metrics import SA_DELTA_BUCKETS
         from ..runtime.telemetry import get_telemetry
 
@@ -161,91 +239,24 @@ class SimulatedAnnealer:
         # the inner loop must touch no telemetry object at all (the ~16k
         # moves of a production run are gated by ``benchmarks/bench_obs.py``
         # to within 5% of an uninstrumented loop).
-        track = telemetry.enabled
         delta_histogram = (
-            telemetry.metrics.histogram("sa.delta", SA_DELTA_BUCKETS) if track else None
+            telemetry.metrics.histogram("sa.delta", SA_DELTA_BUCKETS)
+            if telemetry.enabled
+            else None
         )
-        curve = None
-        if track:
-            from ..obs.curves import CurveRecorder
-
-            # One sample per temperature step, stride-doubled to a bounded
-            # point budget; shipped as a single sa.curve event at the end
-            # (see repro.obs.curves).  Lives entirely outside the move loop.
-            curve = CurveRecorder()
-        rng = random.Random(seed)
-        params = self.params
-        stats = SAStats()
-        current_cost = cost()
-        if not math.isfinite(current_cost):
-            # There is no way to anneal from a poisoned cost: every delta
-            # would be NaN and Metropolis acceptance would be arbitrary.
-            raise NonFiniteCostError(
-                f"initial annealing cost is non-finite: {current_cost!r}"
-            )
-        stats.initial_cost = current_cost
-        stats.best_cost = current_cost
-        best_snapshot = snapshot() if snapshot else None
-        telemetry.emit(
-            "sa.begin",
-            initial_cost=current_cost,
-            initial_temp=params.initial_temp,
-            steps=params.temperature_steps(),
-            moves_per_temp=params.moves_per_temp,
-        )
-
-        loop_started = time.perf_counter()
-        temperature = params.initial_temp
-        start_move = 0
-        step_proposed = step_accepted = 0
-        resumed = False
-        if checkpoint is not None:
-            if snapshot is None or checkpoint.capture is None:
-                raise ValueError(
-                    "checkpointing requires a snapshot callable and a bound "
-                    "checkpointer (SACheckpointer.bind)"
-                )
-            payload = checkpoint.load()
-            if payload is not None:
-                # Restore in dependency order: problem state first (so the
-                # cost structures rebuild), then the exact scalar/rng state
-                # the uninterrupted run had at the moment of the save.
-                checkpoint.restore(payload["state"])
-                rng_state = payload["rng"]
-                rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
-                stats.proposed = int(payload["proposed"])
-                stats.infeasible = int(payload["infeasible"])
-                stats.accepted = int(payload["accepted"])
-                stats.accepted_uphill = int(payload["accepted_uphill"])
-                stats.nonfinite_rejected = int(payload["nonfinite_rejected"])
-                stats.initial_cost = payload["initial_cost"]
-                stats.best_cost = payload["best_cost"]
-                stats.cost_trace = list(payload["cost_trace"])
-                best = payload.get("best")
-                best_snapshot = checkpoint.decode(best) if best is not None else None
-                current_cost = payload["current_cost"]
-                temperature = payload["temperature"]
-                start_move = int(payload["move_in_step"])
-                step_proposed = int(payload["step_proposed"])
-                step_accepted = int(payload["step_accepted"])
-                resumed = True
-                telemetry.emit(
-                    "checkpoint.resumed",
-                    proposed=stats.proposed,
-                    temperature=round(temperature, 8),
-                )
-                telemetry.metrics.counter("checkpoint.resumes").inc()
         # Hoisted out of the move loop: the cadence test runs every move,
         # so it must cost one local int check, not two attribute loads.
         checkpoint_interval = checkpoint.interval if checkpoint is not None else 0
-        while temperature > params.final_temp:
-            if resumed:
-                # First step after a resume continues mid-step: keep the
-                # restored per-step counters and move index.
-                resumed = False
-            else:
-                step_proposed = step_accepted = 0
-            for move_index in range(start_move, params.moves_per_temp):
+        rng = self.rng
+        stats = self.stats
+        current_cost = self.current_cost
+        temperature = self.temperature
+        best_snapshot = self.best_snapshot
+        start_move = self.move_in_step
+        step_proposed = self.step_proposed
+        step_accepted = self.step_accepted
+        for __ in range(tiers):
+            for move_index in range(start_move, moves_per_temp):
                 stats.proposed += 1
                 step_proposed += 1
                 move = propose(rng)
@@ -304,51 +315,139 @@ class SimulatedAnnealer:
                 # path — so the cadence cannot silently miss a beat when it
                 # lands on an infeasible or non-finite move.
                 if checkpoint_interval and stats.proposed % checkpoint_interval == 0:
-                    rng_state = rng.getstate()
-                    checkpoint.save(
-                        {
-                            "proposed": stats.proposed,
-                            "infeasible": stats.infeasible,
-                            "accepted": stats.accepted,
-                            "accepted_uphill": stats.accepted_uphill,
-                            "nonfinite_rejected": stats.nonfinite_rejected,
-                            "initial_cost": stats.initial_cost,
-                            "best_cost": stats.best_cost,
-                            "cost_trace": list(stats.cost_trace),
-                            "current_cost": current_cost,
-                            "temperature": temperature,
-                            "move_in_step": move_index + 1,
-                            "step_proposed": step_proposed,
-                            "step_accepted": step_accepted,
-                            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-                            "state": checkpoint.capture(),
-                            "best": (
-                                checkpoint.encode(best_snapshot)
-                                if best_snapshot is not None
-                                else None
-                            ),
-                        }
-                    )
-            start_move = 0
+                    self.current_cost, self.temperature = current_cost, temperature
+                    self.best_snapshot = best_snapshot
+                    self.move_in_step = move_index + 1
+                    self.step_proposed = step_proposed
+                    self.step_accepted = step_accepted
+                    checkpoint.save(self.pause(checkpoint.capture, checkpoint.encode))
             stats.cost_trace.append(current_cost)
-            if track:
-                acceptance = (
-                    step_accepted / step_proposed if step_proposed else 0.0
+            if observer is not None:
+                acceptance = step_accepted / step_proposed if step_proposed else 0.0
+                observer(
+                    [stats.proposed, current_cost, stats.best_cost, acceptance,
+                     temperature],
+                    step_accepted,
                 )
+            temperature *= cooling
+            start_move = step_proposed = step_accepted = 0
+        self.current_cost, self.temperature = current_cost, temperature
+        self.best_snapshot, self.move_in_step = best_snapshot, start_move
+        self.step_proposed, self.step_accepted = step_proposed, step_accepted
+
+
+class SimulatedAnnealer:
+    """Schedule-driven annealer over externally managed state.
+
+    The caller owns the state; the annealer drives it through callables:
+
+    ``propose(rng)``
+        Return an opaque move object, or ``None`` when no feasible move was
+        found this attempt.
+    ``apply(move)`` / ``undo(move)``
+        Mutate / revert the state.
+    ``cost()``
+        Current scalar cost of the state.
+    ``snapshot()`` (optional)
+        Capture the state; the best snapshot seen is stored on the stats
+        object as ``best_snapshot``.
+    """
+
+    def __init__(self, params: Optional[SAParams] = None) -> None:
+        self.params = params or SAParams()
+
+    def optimize(
+        self,
+        propose: Callable,
+        apply: Callable,
+        undo: Callable,
+        cost: Callable[[], float],
+        seed: Optional[int] = None,
+        snapshot: Optional[Callable] = None,
+        checkpoint=None,
+        curve_label: Optional[str] = None,
+    ) -> SAStats:
+        """Run the schedule; optionally checkpointed for crash-safe resume.
+
+        *checkpoint* is a bound
+        :class:`~repro.exchange.checkpoint.SACheckpointer`: every
+        ``checkpoint.interval`` proposed moves the :class:`AnnealState`
+        payload (problem state via ``checkpoint.capture``, rng Mersenne
+        state, accumulated temperature, mid-step counters, stats,
+        best-so-far) is atomically persisted.  When a valid checkpoint
+        exists at start, the run resumes from it and replays the exact
+        continuation the uninterrupted run would have produced — move for
+        move, bit for bit.  A completed run clears its checkpoint.
+        """
+        import time
+
+        from ..runtime.telemetry import get_telemetry
+
+        telemetry = get_telemetry()
+        track = telemetry.enabled
+        params = self.params
+        run = AnnealState.start(cost, snapshot, seed, params.initial_temp)
+        telemetry.emit(
+            "sa.begin",
+            initial_cost=run.current_cost,
+            initial_temp=params.initial_temp,
+            steps=params.temperature_steps(),
+            moves_per_temp=params.moves_per_temp,
+        )
+
+        loop_started = time.perf_counter()
+        if checkpoint is not None:
+            if snapshot is None or checkpoint.capture is None:
+                raise ValueError(
+                    "checkpointing requires a snapshot callable and a bound "
+                    "checkpointer (SACheckpointer.bind)"
+                )
+            payload = checkpoint.load()
+            if payload is not None:
+                run = AnnealState.resume(payload, checkpoint.restore, checkpoint.decode)
+                telemetry.emit(
+                    "checkpoint.resumed",
+                    proposed=run.stats.proposed,
+                    temperature=round(run.temperature, 8),
+                )
+                telemetry.metrics.counter("checkpoint.resumes").inc()
+        observer = curve = None
+        if track:
+            from ..obs.curves import CurveRecorder
+
+            # One sample per temperature step, stride-doubled to a bounded
+            # point budget; shipped as a single sa.curve event at the end
+            # (see repro.obs.curves).  Lives entirely outside the move loop.
+            curve = CurveRecorder()
+
+            def observer(sample: list, step_accepted: int) -> None:
+                proposed, current_cost, best_cost, acceptance, temperature = sample
                 telemetry.emit(
                     "sa.step",
                     temperature=round(temperature, 8),
                     cost=current_cost,
                     acceptance=acceptance,
                 )
-                curve.observe(
-                    stats.proposed, current_cost, stats.best_cost,
-                    acceptance, temperature,
-                )
-            temperature *= params.cooling
+                curve.observe(*sample)
 
-        stats.final_cost = current_cost
-        stats.best_snapshot = best_snapshot
+        # The schedule's tiers not yet run: the temperature recurrence is
+        # deterministic, so a resumed run has len(cost_trace) of them behind it.
+        run.advance(
+            params.temperature_steps() - len(run.stats.cost_trace),
+            params.moves_per_temp,
+            params.cooling,
+            propose,
+            apply,
+            undo,
+            cost,
+            snapshot=snapshot,
+            checkpoint=checkpoint,
+            observer=observer,
+        )
+
+        stats = run.stats
+        stats.final_cost = run.current_cost
+        stats.best_snapshot = run.best_snapshot
         if checkpoint is not None:
             # A finished anneal leaves no checkpoint behind: resuming a
             # completed schedule would run moves past it.
@@ -370,6 +469,6 @@ class SimulatedAnnealer:
                 moves_per_s=round(stats.proposed / elapsed, 1) if elapsed else 0.0,
                 nonfinite_rejected=stats.nonfinite_rejected,
             )
-            if curve is not None and curve.observed:
+            if curve.observed:
                 curve.emit(telemetry, circuit=curve_label)
         return stats

@@ -8,28 +8,26 @@ number of temperature tiers as an ordinary engine job (cached, journaled,
 fanned out over the process pool), returns its serialized state, and the
 coordinator (:mod:`repro.tune.tempering`) swaps states between rounds.
 
-This module is the problem-layer half of the protocol:
+A chain's state *is* the SA checkpoint payload — the
+:class:`~repro.exchange.annealer.AnnealState` layout a crash-safe
+checkpoint writes (kernel state under ``"state"``, rng, temperature,
+counters, current/best cost, best snapshot) — and a segment runs on the
+one Metropolis loop, :meth:`AnnealState.advance`, that
+:meth:`SimulatedAnnealer.optimize` runs.  A K=1 chain therefore walks the
+same accept/reject trace as a single-chain anneal with the same seed, and
+chains record the same per-move instruments (``sa.delta``,
+``sa.nonfinite_rejected``, ``sa.nonfinite``).
 
 :func:`initial_chain_state`
-    A chain's genesis state from a built kernel: the kernel's checkpoint
-    payload (the same capture discipline ``SACheckpointer`` uses), a
-    freshly seeded Mersenne state, the chain's starting temperature, and
-    zeroed stats counters.
+    A chain's genesis: a fresh anneal at the kernel's baseline, paused
+    before its first move at the chain's starting temperature.
 :func:`run_segment`
-    Advance one chain by N temperature tiers.  The move loop mirrors
-    :meth:`SimulatedAnnealer.optimize` exactly — unconditional Metropolis
-    uniform draw, non-finite rejection, ``BEST_IMPROVEMENT_EPS`` best
-    tracking — so a K=1 chain walks the same accept/reject trace as a
-    single-chain anneal with the same rng stream.
+    Advance one chain by N temperature tiers.
 :func:`swap_accept`
     The replica-exchange Metropolis criterion
     ``p = min(1, exp((1/T_a - 1/T_b) * (E_a - E_b)))``.  Always consumes
     exactly one uniform from the dedicated swap rng, so per-chain traces
     stay reproducible regardless of how many swaps are accepted.
-
-Chain states round-trip through JSON byte-exactly (Python floats survive
-``json``; the Mersenne state is a list of ints), which is what makes a
-tempering run seed-deterministic at fixed K for any jobs= fan-out.
 """
 
 from __future__ import annotations
@@ -38,38 +36,14 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .annealer import BEST_IMPROVEMENT_EPS
-from .checkpoint import encode_arrays
-
-
-def _rng_to_json(rng: random.Random) -> list:
-    version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
-
-
-def _rng_from_json(payload) -> random.Random:
-    rng = random.Random()
-    rng.setstate((payload[0], tuple(payload[1]), payload[2]))
-    return rng
+from .annealer import AnnealState
+from .checkpoint import decode_arrays, encode_arrays
 
 
 def initial_chain_state(kernel, seed: Optional[int], temperature: float) -> Dict:
     """A chain's genesis: kernel at its baseline, fresh rng, zero stats."""
-    cost = kernel.cost()
-    return {
-        "kernel": kernel.checkpoint_state(),
-        "rng": _rng_to_json(random.Random(seed)),
-        "temperature": float(temperature),
-        "current_cost": cost,
-        "best_cost": cost,
-        "best": encode_arrays(kernel.snapshot()),
-        "proposed": 0,
-        "infeasible": 0,
-        "accepted": 0,
-        "accepted_uphill": 0,
-        "nonfinite_rejected": 0,
-        "steps_done": 0,
-    }
+    run = AnnealState.start(kernel.cost, kernel.snapshot, seed, temperature)
+    return run.pause(kernel.checkpoint_state, encode_arrays)
 
 
 def run_segment(
@@ -81,79 +55,33 @@ def run_segment(
 ) -> Tuple[Dict, List[list], List[int]]:
     """Advance one chain by *steps* temperature tiers on *kernel*.
 
-    The kernel is restored from ``state["kernel"]`` first, so the caller
+    The kernel is restored from the paused *state* first, so the caller
     only needs to build it at the chain's baseline.  Returns the new
-    JSON-able state, one convergence sample per tier
+    paused state, one convergence sample per tier
     (``[proposed, cost, best_cost, acceptance, temperature]`` — the
     ``sa.curve`` point layout), and the per-tier accepted-move counts
     (the chain's accept trace, the determinism witness).
     """
-    kernel.restore_checkpoint(state["kernel"])
-    rng = _rng_from_json(state["rng"])
-    temperature = float(state["temperature"])
-    current_cost = float(state["current_cost"])
-    best_cost = float(state["best_cost"])
-    best = state["best"]
-    proposed = int(state["proposed"])
-    infeasible = int(state["infeasible"])
-    accepted = int(state["accepted"])
-    accepted_uphill = int(state["accepted_uphill"])
-    nonfinite_rejected = int(state["nonfinite_rejected"])
-
+    run = AnnealState.resume(state, kernel.restore_checkpoint, decode_arrays)
     samples: List[list] = []
     accept_trace: List[int] = []
-    for __ in range(steps):
-        step_proposed = step_accepted = 0
-        for __ in range(moves_per_temp):
-            proposed += 1
-            step_proposed += 1
-            move = kernel.propose(rng)
-            if move is None:
-                infeasible += 1
-                continue
-            kernel.apply(move)
-            new_cost = kernel.cost()
-            delta = new_cost - current_cost
-            if not math.isfinite(delta):
-                kernel.undo(move)
-                nonfinite_rejected += 1
-                continue
-            # Unconditional draw, exactly like the single-chain annealer:
-            # the rng stream advances identically for every finite move.
-            uniform = rng.random()
-            if delta <= 0 or uniform < math.exp(-delta / temperature):
-                current_cost = new_cost
-                accepted += 1
-                step_accepted += 1
-                if delta > BEST_IMPROVEMENT_EPS:
-                    accepted_uphill += 1
-                if current_cost < best_cost - BEST_IMPROVEMENT_EPS:
-                    best_cost = current_cost
-                    best = encode_arrays(kernel.snapshot())
-            else:
-                kernel.undo(move)
-        acceptance = step_accepted / step_proposed if step_proposed else 0.0
-        samples.append(
-            [proposed, current_cost, best_cost, acceptance, temperature]
-        )
-        accept_trace.append(step_accepted)
-        temperature *= cooling
 
-    new_state = {
-        "kernel": kernel.checkpoint_state(),
-        "rng": _rng_to_json(rng),
-        "temperature": temperature,
-        "current_cost": current_cost,
-        "best_cost": best_cost,
-        "best": best,
-        "proposed": proposed,
-        "infeasible": infeasible,
-        "accepted": accepted,
-        "accepted_uphill": accepted_uphill,
-        "nonfinite_rejected": nonfinite_rejected,
-        "steps_done": int(state["steps_done"]) + steps,
-    }
-    return new_state, samples, accept_trace
+    def observe(sample: list, step_accepted: int) -> None:
+        samples.append(sample)
+        accept_trace.append(step_accepted)
+
+    run.advance(
+        steps,
+        moves_per_temp,
+        cooling,
+        kernel.propose,
+        kernel.apply,
+        kernel.undo,
+        kernel.cost,
+        snapshot=kernel.snapshot,
+        observer=observe,
+    )
+    return run.pause(kernel.checkpoint_state, encode_arrays), samples, accept_trace
 
 
 def swap_accept(

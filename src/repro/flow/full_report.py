@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional, Union
-
-from ..exchange import SAParams
-from ..power import PowerGridConfig
+from typing import Union
 
 
 def generate_report(
     path: Union[str, Path],
     seed: int = 7,
     grid_size: int = 32,
-    sa_params: Optional[SAParams] = None,
     include_table3: bool = True,
     include_fig6: bool = True,
 ) -> str:
@@ -28,23 +24,20 @@ def generate_report(
 
     ``include_table3`` / ``include_fig6`` let callers skip the two slow
     experiments (several minutes together) for a quick smoke report.
-    Returns the report text.
+    The Table-2/3 and Fig.-6 sections are the ``repro run`` workloads of
+    those names, run on an in-process job engine.  Returns the report text.
     """
     from ..assign import Assignment, DFAAssigner, IFAAssigner
-    from ..circuits import (
-        FIG5_DFA_ORDER,
-        FIG5_RANDOM_ORDER,
-        build_design,
-        build_table1_designs,
-        fig5_quadrant,
-        fig13_quadrant,
-        run_fig6,
-        table1_circuit,
-    )
+    from ..circuits import FIG5_RANDOM_ORDER, fig5_quadrant, fig13_quadrant
     from ..routing import max_density
-    from .codesign import CoDesignFlow
-    from .compare import compare_assigners
-    from .report import render_fig6, render_table1, render_table2, render_table3
+    from ..runtime import JobEngine
+    from ..runtime.workloads import WORKLOADS
+    from .report import render_table1
+
+    def workload(name: str, seed: int, grid: int) -> str:
+        spec = WORKLOADS[name]
+        with JobEngine() as engine:
+            return spec.render(engine.run(spec.build(seed, grid)))
 
     start = time.time()
     sections = ["# Reproduction report", ""]
@@ -58,8 +51,7 @@ def generate_report(
     sections.append("```")
 
     sections += ["", "## Table 2 — Random / IFA / DFA", "", "```"]
-    table2 = compare_assigners(build_table1_designs(), seed=42)
-    sections.append(render_table2(table2))
+    sections.append(workload("table2", 42, grid_size))
     sections.append("```")
     sections.append(
         "paper averages: density 1 / 0.63 / 0.36, wirelength 1 / 0.88 / 0.82"
@@ -67,19 +59,7 @@ def generate_report(
 
     if include_table3:
         sections += ["", "## Table 3 — finger/pad exchange", "", "```"]
-        flow = CoDesignFlow(
-            sa_params=sa_params, grid_config=PowerGridConfig(size=grid_size)
-        )
-        results = {}
-        for tiers in (1, 4):
-            runs = {}
-            for index in range(1, 6):
-                design = build_design(
-                    table1_circuit(index, tier_count=tiers), seed=0
-                )
-                runs[design.name] = flow.run(design, seed=seed)
-            results[tiers] = runs
-        sections.append(render_table3(results[1], results[4]))
+        sections.append(workload("table3", seed, grid_size))
         sections.append("```")
         sections.append(
             "paper averages: IR 10.61% (2-D), 4.58% (psi=4), bonding 15.66%"
@@ -105,7 +85,7 @@ def generate_report(
 
     if include_fig6:
         sections += ["", "## Fig. 6 — real-chip pad plans", "", "```"]
-        sections.append(render_fig6(run_fig6(seed=2009)))
+        sections.append(workload("fig6", 2009, WORKLOADS["fig6"].default_grid))
         sections.append("```")
 
     sections += ["", f"_elapsed: {time.time() - start:.1f} s_", ""]

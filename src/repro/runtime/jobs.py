@@ -2,10 +2,9 @@
 
 Each runner is a pure function ``(params, seed) -> JSON value`` so that a
 job can execute in a worker process and its result can live in the disk
-cache.  Runners call exactly the same underlying primitives as the legacy
-serial paths (``flow.compare_assigners``, ``CoDesignFlow.run``,
-``circuits.run_fig6``), so engine results are bit-identical to a serial
-run with the same seeds.
+cache.  Runners call the same primitives as ``flow.compare_assigners``,
+``CoDesignFlow.run`` and ``circuits.run_fig6``, so engine results are
+bit-identical to calling those directly with the same seeds.
 
 This module imports the flow/circuits layers and is loaded lazily by the
 job-type registry (``spec.resolve_job_type``).
@@ -213,46 +212,42 @@ def run_tune_cell(params: dict, seed: Optional[int]):
     }
 
 
-@register_job_type("tempering")
-def run_tempering_segment(params: dict, seed: Optional[int]):
-    """One parallel-tempering chain segment: N tiers from a JSON state.
+def _dfa_kernel(params: dict):
+    """Design, DFA baseline and an exchange kernel at that baseline.
 
-    The coordinator (:mod:`repro.tune.tempering`) schedules K of these per
-    round — one per chain — and swaps the returned kernel states between
-    rounds.  ``params["chain"]`` carries the chain's full serialized state
-    (kernel checkpoint + rng + temperature + counters); when absent the
-    chain starts from genesis at ``params["temperature"]`` with *seed* as
-    its dedicated rng seed.  The baseline DFA assignment is derived from
-    ``assign_seed`` (not the chain seed) so every chain in a run anneals
-    the same starting configuration.
+    The baseline is derived from ``assign_seed`` (not a job seed), so
+    every tempering chain of a run anneals the same configuration.
     """
     from ..assign import DFAAssigner
-    from ..exchange import initial_chain_state, run_segment
     from ..kernels import ArrayExchangeKernel
 
     design = _build_circuit_design(params)
     baseline = assign_design(
         DFAAssigner(), design, seed=int(params.get("assign_seed", 0))
     )
-    kernel = ArrayExchangeKernel(design, baseline)
-    chain = params.get("chain")
-    if chain is None:
-        chain = initial_chain_state(
-            kernel, seed=seed, temperature=float(params["temperature"])
-        )
+    return design, baseline, ArrayExchangeKernel(design, baseline)
+
+
+@register_job_type("tempering")
+def run_tempering_segment(params: dict, seed: Optional[int]):
+    """One parallel-tempering chain segment: N tiers of a paused anneal.
+
+    The coordinator (:mod:`repro.tune.tempering`) schedules K of these per
+    round — one per chain — and swaps the returned kernel states between
+    rounds.  ``params["chain"]`` is the chain's paused anneal, the SA
+    checkpoint payload (see :mod:`repro.exchange.tempering`).
+    """
+    from ..exchange import run_segment
+
+    __, __, kernel = _dfa_kernel(params)
     state, samples, accept_trace = run_segment(
         kernel,
-        chain,
+        params["chain"],
         steps=int(params["steps"]),
         moves_per_temp=int(params["moves_per_temp"]),
         cooling=float(params["cooling"]),
     )
-    return {
-        "circuit": design.name,
-        "chain": state,
-        "samples": samples,
-        "accept_trace": accept_trace,
-    }
+    return {"chain": state, "samples": samples, "accept_trace": accept_trace}
 
 
 @register_job_type("fig6")

@@ -2,8 +2,8 @@
 
 A workload turns CLI-level intent ("run Table 2") into the flat job list
 the engine executes, and turns the outcome list back into the paper-style
-rendering the serial commands print.  Because the spec builders iterate in
-the same circuit-major order as the legacy serial loops, the rendered
+rendering ``repro table2|table3|fig6``, ``repro run`` and ``repro report``
+print.  The spec builders iterate in circuit-major order, so the rendered
 tables are identical whether the jobs ran serially, in parallel, or came
 out of the cache.
 """
@@ -43,7 +43,7 @@ def table2_specs(seed: int = 42, grid: int = 32) -> List[JobSpec]:
 
 
 def table2_table(outcomes: Sequence[JobOutcome]):
-    """Rebuild the :class:`ComparisonTable` the serial path produces."""
+    """Rebuild the :class:`ComparisonTable` ``compare_assigners`` produces."""
     from ..flow import AssignerRun, ComparisonTable
 
     table = ComparisonTable(baseline="Random")

@@ -4,8 +4,9 @@ A tiny 2x2x1 sweep on circuit1 run twice against a throwaway cache —
 the second pass must replay >= 90% of its cells from cache and produce a
 byte-identical report — followed by a K=2 tempering run whose trace
 (including the ``sa.swap`` events) must validate against the telemetry
-schema.  Everything runs in-process against a temp directory; the whole
-check takes a few seconds.
+schema and fold a non-empty ``sa.delta`` histogram (the chains' moves
+run on the annealer's instrumented loop).  Everything runs in-process
+against a temp directory; the whole check takes a few seconds.
 
 Run with::
 
@@ -23,6 +24,7 @@ import tempfile
 def main() -> int:
     from ..exchange import SAParams
     from ..obs.schema import SCHEMA_VERSION, validate_trace
+    from ..obs.stats import stats_summary
     from ..runtime import JobEngine, JsonlSink, ResultCache, Telemetry
     from . import SweepGrid, TemperingConfig, run_sweep, run_tempering, write_report
 
@@ -92,12 +94,15 @@ def main() -> int:
         with open(trace_path, encoding="utf-8") as handle:
             events = [json.loads(line) for line in handle if line.strip()]
         swaps = [event for event in events if event.get("event") == "sa.swap"]
+        deltas = stats_summary(events)["metrics"].get("sa.delta", {}).get("count", 0)
         print(
             f"tempering: best {result['sa']['best_cost']:.4f}, "
-            f"{len(swaps)} sa.swap event(s)"
+            f"{len(swaps)} sa.swap event(s), {deltas} sa.delta sample(s)"
         )
         if not swaps:
             failures.append("tempering trace carries no sa.swap events")
+        if not deltas:
+            failures.append("tempering trace folds no sa.delta count")
         report = validate_trace(events, subject="tempering trace")
         if not report.ok:
             failures.append(f"tempering trace invalid: {report.render()}")

@@ -22,7 +22,6 @@ chains never perturbs existing ones.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -78,7 +77,9 @@ def run_tempering(
     existing workload renderers apply unchanged) plus a ``tempering``
     block with the ladder, swap statistics and per-chain accept traces.
     """
+    from ..exchange import initial_chain_state
     from ..obs.curves import CurveRecorder
+    from ..runtime.jobs import _dfa_kernel
 
     config = config or TemperingConfig()
     schedule = schedule or SAParams()
@@ -92,11 +93,15 @@ def run_tempering(
     chain_seeds = [
         _derived_seed(seed, f"chain:{k}") for k in range(config.chains)
     ]
-    states: List[Optional[Dict]] = [None] * config.chains
+    design, baseline, kernel = _dfa_kernel(base_params)
+    # Every chain starts as a fresh anneal paused at the shared baseline.
+    states = [
+        initial_chain_state(kernel, seed=chain_seed, temperature=temperature)
+        for chain_seed, temperature in zip(chain_seeds, temperatures)
+    ]
     accept_traces: List[List[int]] = [[] for _ in range(config.chains)]
     recorders = [CurveRecorder() for _ in range(config.chains)]
     swaps_proposed = swaps_accepted = 0
-    circuit_name = None
 
     telemetry.emit(
         "tempering.begin",
@@ -110,17 +115,20 @@ def run_tempering(
     round_index = 0
     while steps_done < total_steps or (total_steps == 0 and round_index == 0):
         steps = min(stride, total_steps - steps_done) if total_steps else 0
-        specs = []
-        for k in range(config.chains):
-            params = dict(base_params)
-            params["steps"] = steps
-            params["moves_per_temp"] = schedule.moves_per_temp
-            params["cooling"] = schedule.cooling
-            if states[k] is None:
-                params["temperature"] = temperatures[k]
-            else:
-                params["chain"] = states[k]
-            specs.append(JobSpec("tempering", params, seed=chain_seeds[k]))
+        specs = [
+            JobSpec(
+                "tempering",
+                dict(
+                    base_params,
+                    steps=steps,
+                    moves_per_temp=schedule.moves_per_temp,
+                    cooling=schedule.cooling,
+                    chain=state,
+                ),
+                seed=chain_seed,
+            )
+            for state, chain_seed in zip(states, chain_seeds)
+        ]
         outcomes = engine.run(specs)
         for k, outcome in enumerate(outcomes):
             if not outcome.ok:
@@ -132,7 +140,6 @@ def run_tempering(
             accept_traces[k].extend(outcome.value["accept_trace"])
             for sample in outcome.value["samples"]:
                 recorders[k].observe(*sample)
-            circuit_name = outcome.value["circuit"]
         steps_done += steps
         if steps_done < total_steps and config.swap_stride > 0:
             # Alternate even/odd adjacent pairings: (0,1)(2,3)... then
@@ -160,7 +167,7 @@ def run_tempering(
                 )
                 if accepted:
                     swaps_accepted += 1
-                    for key in ("kernel", "current_cost"):
+                    for key in ("state", "current_cost"):
                         states[a][key], states[b][key] = (
                             states[b][key],
                             states[a][key],
@@ -171,13 +178,16 @@ def run_tempering(
 
     for k, recorder in enumerate(recorders):
         if recorder.observed:
-            recorder.emit(telemetry, circuit=f"{circuit_name}@chain{k}")
+            recorder.emit(telemetry, circuit=f"{design.name}@chain{k}")
 
     best_chain = min(
         range(config.chains), key=lambda k: states[k]["best_cost"]
     )
     result = _finalize(
         base_params,
+        design,
+        baseline,
+        kernel,
         states[best_chain],
         grid=grid,
         polish_passes=polish_passes,
@@ -206,29 +216,25 @@ def run_tempering(
 
 def _finalize(
     base_params: Dict,
+    design,
+    baseline: Dict,
+    kernel,
     state: Dict,
     grid: int,
     polish_passes: int,
 ) -> Dict:
     """Measure the winning chain's best configuration like ``codesign``.
 
-    Rebuilds the kernel at the shared DFA baseline, restores the best
+    *kernel* sits at the shared DFA *baseline*: restores the best
     snapshot, applies the zero-temperature polish and reports through the
     kernel's own ``breakdown()`` / ``omega()`` — the same discipline as
     :meth:`FingerPadExchanger.run`.
     """
-    from ..assign import DFAAssigner, assign_design, check_legal
+    from ..assign import check_legal
     from ..exchange.checkpoint import decode_arrays
     from ..flow.metrics import improvement_ratio, measure
-    from ..kernels import ArrayExchangeKernel
     from ..power import PowerGridConfig
-    from ..runtime.jobs import _build_circuit_design
 
-    design = _build_circuit_design(base_params)
-    baseline = assign_design(
-        DFAAssigner(), design, seed=int(base_params.get("assign_seed", 0))
-    )
-    kernel = ArrayExchangeKernel(design, baseline)
     initial_cost = kernel.breakdown()["total"]
     omega_before = kernel.omega()
     kernel.restore(decode_arrays(state["best"]))

@@ -284,28 +284,34 @@ class TestTempering:
             population["sa"]["best_cost"] <= single["sa"]["best_cost"]
         )
 
-    def test_swap_events_validate_against_schema(self, tmp_path):
-        from repro.obs.schema import SCHEMA_VERSION, validate_trace
+    @staticmethod
+    def _traced_run(trace, jobs=1, seed=3):
+        from repro.obs.schema import SCHEMA_VERSION
         from repro.runtime import JsonlSink
 
-        trace = tmp_path / "trace.jsonl"
         with JsonlSink(trace) as sink:
             telemetry = Telemetry(sink=sink)
             telemetry.emit(
                 "trace.meta", schema=SCHEMA_VERSION, tool="repro",
                 command="test",
             )
-            engine = JobEngine(jobs=1, telemetry=telemetry)
+            engine = JobEngine(jobs=jobs, telemetry=telemetry)
             try:
                 run_tempering(
                     engine,
                     1,
                     config=TemperingConfig(chains=2, swap_stride=2),
                     schedule=TINY_SCHEDULE,
-                    seed=3,
+                    seed=seed,
                 )
             finally:
                 engine.close()
+
+    def test_swap_events_validate_against_schema(self, tmp_path):
+        from repro.obs.schema import validate_trace
+
+        trace = tmp_path / "trace.jsonl"
+        self._traced_run(trace)
         events = [
             json.loads(line)
             for line in trace.read_text().splitlines()
@@ -315,6 +321,64 @@ class TestTempering:
         assert any(event["event"] == "sa.curve" for event in events)
         report = validate_trace(events)
         assert report.ok, report.render()
+
+    @pytest.mark.parametrize(
+        "circuit, tiers, seed", [(1, 1, 7), (3, 4, 11), (5, 1, 3)]
+    )
+    def test_single_segment_walks_the_single_chain_anneal(
+        self, circuit, tiers, seed
+    ):
+        # K=1 parity oracle: one segment over the whole schedule, from the
+        # genesis state, is the same anneal as SimulatedAnnealer.optimize.
+        from repro.assign import DFAAssigner, assign_design
+        from repro.circuits import build_design, table1_circuit
+        from repro.exchange import (
+            SimulatedAnnealer,
+            initial_chain_state,
+            run_segment,
+        )
+        from repro.kernels import ArrayExchangeKernel
+
+        design = build_design(table1_circuit(circuit, tier_count=tiers), seed=0)
+        baseline = assign_design(DFAAssigner(), design, seed=0)
+        schedule = SAParams()
+        single = ArrayExchangeKernel(design, baseline)
+        stats = SimulatedAnnealer(schedule).optimize(
+            single.propose,
+            single.apply,
+            single.undo,
+            single.cost,
+            seed=seed,
+            snapshot=single.snapshot,
+        )
+        chain = ArrayExchangeKernel(design, baseline)
+        state, samples, accept_trace = run_segment(
+            chain,
+            initial_chain_state(chain, seed=seed, temperature=schedule.initial_temp),
+            steps=schedule.temperature_steps(),
+            moves_per_temp=schedule.moves_per_temp,
+            cooling=schedule.cooling,
+        )
+        assert [sample[1] for sample in samples] == stats.cost_trace
+        assert sum(accept_trace) == state["accepted"] == stats.accepted
+        assert state["best_cost"] == stats.best_cost
+        assert chain.orders() == single.orders()
+
+    def test_chains_fold_the_annealer_instruments(self, tmp_path, capsys):
+        # Segments run on the annealer's move loop, so a tempering trace
+        # carries its per-move sa.delta histogram at any pool fan-out.
+        from repro.cli import main
+
+        counts = []
+        for jobs in (1, 2):
+            trace = tmp_path / f"trace{jobs}.jsonl"
+            self._traced_run(trace, jobs=jobs)
+            capsys.readouterr()
+            assert main(["stats", str(trace), "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            counts.append(report["metrics"].get("sa.delta", {}).get("count", 0))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -376,3 +440,34 @@ class TestTuneCli:
         assert status == 0
         out = capsys.readouterr().out
         assert "circuit1" in out
+
+    def test_run_summary_covers_every_tempering_round(self, tmp_path, capsys):
+        # A tempering run is many engine rounds: the summary reports the
+        # whole run span and the job counters summed across the rounds.
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        status = main(
+            ["run", "smoke", "--tempering", "2", "--jobs", "1", "--no-cache",
+             "--trace", str(trace)]
+        )
+        assert status == 0
+        events = [
+            json.loads(line)
+            for line in trace.read_text().splitlines()
+            if line.strip()
+        ]
+        (run,) = [
+            event
+            for event in events
+            if event["event"] == "span.end" and event["name"] == "run"
+        ]
+        jobs = sum(
+            event["total"] for event in events if event["event"] == "engine.end"
+        )
+        assert jobs > 2  # more segment jobs than the workload's two specs
+        summary = capsys.readouterr().err.strip().splitlines()[-1]
+        assert summary.startswith(
+            f"done in {run['seconds']:.2f}s: {jobs} jobs, "
+            "0 cache hit(s), 0 miss(es)"
+        )
